@@ -25,13 +25,17 @@
  *
  * Scalar cost per trial is 2*C model-cycles. Batched cost is C/N for
  * the shared golden plus C - spec.cycle for the lane's post-injection
- * suffix (C/2 on average over a uniform fault list) — the source of
- * bench_batch's >= 4x aggregate trials/sec. The records and coverage
- * maps are byte-identical to run_injection's at any lane count: the
- * per-cycle order of events (advance, detection scan, divergence scan,
- * inject/re-force at the boundary) is exactly run_injection's, the
- * forked state is exactly the state the scalar faulted run reaches at
- * the same boundary, and the collector samples at the same points.
+ * suffix (C/2 on average over a uniform fault list). That bound is not
+ * yet a measured speedup: bench_batch's smoke-mode baseline
+ * (bench/baselines/BENCH_batch.json, 12 trials x 150 cycles) records
+ * speedup_vs_scalar 1.04 batched and 1.15 batched + jobs, with lane
+ * forking (batch/pack) taking most of the batch time. The records and
+ * coverage maps are byte-identical to run_injection's at any lane
+ * count: the per-cycle order of events (advance, detection scan,
+ * divergence scan, inject/re-force at the boundary) is exactly
+ * run_injection's, the forked state is exactly the state the scalar
+ * faulted run reaches at the same boundary, and the collector samples
+ * at the same points.
  * Engines that are not checkpointable — or targets whose peripherals
  * cannot be serialized — fall back to running their lanes from cycle 0
  * against the shared golden: slower, still byte-identical.
@@ -46,35 +50,6 @@
 namespace koika::fault {
 
 namespace {
-
-void
-force_bit(sim::Model& model, int reg, uint32_t bit, bool value)
-{
-    model.set_reg(reg, model.get_reg(reg).with_bit(bit, value));
-}
-
-void
-flip_bit(sim::Model& model, int reg, uint32_t bit)
-{
-    Bits v = model.get_reg(reg);
-    model.set_reg(reg, v.with_bit(bit, !v.bit(bit)));
-}
-
-void
-inject(sim::Model& model, const FaultSpec& spec)
-{
-    switch (spec.kind) {
-      case FaultKind::kBitFlip:
-        flip_bit(model, spec.reg, spec.bit);
-        break;
-      case FaultKind::kStuckAt0:
-        force_bit(model, spec.reg, spec.bit, false);
-        break;
-      case FaultKind::kStuckAt1:
-        force_bit(model, spec.reg, spec.bit, true);
-        break;
-    }
-}
 
 /** One trial instance advancing in lockstep with the shared golden. */
 struct Lane
@@ -362,9 +337,7 @@ run_injection_batch_in(const Design& design, TrialContext& ctx,
                        lane.spec.kind != FaultKind::kBitFlip &&
                        c > lane.spec.cycle &&
                        c < lane.spec.cycle + lane.spec.stuck_cycles) {
-                force_bit(*lane.target.model, lane.spec.reg,
-                          lane.spec.bit,
-                          lane.spec.kind == FaultKind::kStuckAt1);
+                inject(*lane.target.model, lane.spec);
             }
         }
     }

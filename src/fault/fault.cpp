@@ -32,20 +32,17 @@ draw(std::mt19937_64& rng, uint64_t n)
     return n == 0 ? 0 : rng() % n;
 }
 
-void
-force_bit(sim::Model& model, int reg, uint32_t bit, bool value)
-{
-    model.set_reg(reg, model.get_reg(reg).with_bit(bit, value));
-}
-
-void
-flip_bit(sim::Model& model, int reg, uint32_t bit)
-{
-    Bits v = model.get_reg(reg);
-    model.set_reg(reg, v.with_bit(bit, !v.bit(bit)));
-}
-
 } // namespace
+
+void
+inject(sim::Model& model, const FaultSpec& spec)
+{
+    Bits v = model.get_reg(spec.reg);
+    bool value = spec.kind == FaultKind::kBitFlip
+                     ? !v.bit(spec.bit)
+                     : spec.kind == FaultKind::kStuckAt1;
+    model.set_reg(spec.reg, v.with_bit(spec.bit, value));
+}
 
 obs::Json
 injection_to_json(size_t index, const InjectionRecord& r)
@@ -403,8 +400,8 @@ run_injection_in(const Design& design, TrialContext& ctx,
 
     // Per-trial setup vs. run split: the ratio of these two phases is
     // what decides whether parallel campaigns are worth their fork
-    // overhead (ROADMAP item 2). With a warm context, setup is two
-    // in-place restores instead of two model constructions.
+    // overhead. With a warm context, setup is two in-place restores
+    // instead of two model constructions.
     obs::ProfScope setup_span("trial/setup");
     FaultTarget& golden = ctx.golden();
     FaultTarget faulted = ctx.acquire();
@@ -532,23 +529,12 @@ run_injection_in(const Design& design, TrialContext& ctx,
         // cycle starts. Stuck-at faults re-assert the forced bit for
         // stuck_cycles consecutive boundaries.
         if (c == spec.cycle) {
-            switch (spec.kind) {
-              case FaultKind::kBitFlip:
-                flip_bit(*faulted.model, spec.reg, spec.bit);
-                break;
-              case FaultKind::kStuckAt0:
-                force_bit(*faulted.model, spec.reg, spec.bit, false);
-                break;
-              case FaultKind::kStuckAt1:
-                force_bit(*faulted.model, spec.reg, spec.bit, true);
-                break;
-            }
+            inject(*faulted.model, spec);
             injected = true;
         } else if (injected && spec.kind != FaultKind::kBitFlip &&
                    c > spec.cycle &&
                    c < spec.cycle + spec.stuck_cycles) {
-            force_bit(*faulted.model, spec.reg, spec.bit,
-                      spec.kind == FaultKind::kStuckAt1);
+            inject(*faulted.model, spec);
         }
     }
 
@@ -625,12 +611,6 @@ trial_context_factory(const TargetFactory& factory)
     };
 }
 
-TrialContext&
-trial_of(harness::WorkerContext* ctx)
-{
-    return static_cast<TrialWorkerContext*>(ctx)->trial;
-}
-
 } // namespace
 
 bool
@@ -640,49 +620,35 @@ run_injection_range(const Design& design, const TargetFactory& factory,
                     InjectionRecord* records, obs::CoverageMap* coverage,
                     const std::function<void(uint64_t, uint64_t)>& before_item)
 {
+    // One grouped pool loop for every (jobs, batch): a group of one is
+    // a scalar trial, a larger group one lockstep batch. ThreadPool(1)
+    // runs inline on the calling thread, so jobs=1 needs no fast path.
     std::atomic<bool> interrupted{false};
-    auto run_one = [&](uint64_t k, TrialContext& trial) {
+    auto run_group = [&](uint64_t k, uint64_t n,
+                         harness::WorkerContext* ctx) {
+        // Shutdown is polled per pool item, so a signal stops the slice
+        // at the next trial (or batch) boundary.
         if (shutdown_requested()) {
             interrupted.store(true);
             return;
         }
+        // before_item sees the whole group, so a chaos crash aimed at
+        // injection i fires whichever group i lands in.
         if (before_item)
-            before_item(k, 1);
-        records[k] = run_injection(design, trial, faults[first + k],
-                                   cycles, coverage ? &coverage[k] : nullptr);
+            before_item(k, n);
+        TrialContext& trial = static_cast<TrialWorkerContext*>(ctx)->trial;
+        obs::CoverageMap* cov = coverage ? &coverage[k] : nullptr;
+        if (n == 1)
+            records[k] = run_injection(design, trial, faults[first + k],
+                                       cycles, cov);
+        else
+            run_injection_batch(design, trial, &faults[first + k],
+                                (size_t)n, cycles, &records[k], cov);
     };
-    if (batch > 1) {
-        // Batched lanes: one lockstep batch per pool item, forking from
-        // the worker's warm golden. before_item sees the whole group,
-        // so a chaos crash aimed at injection i fires whichever group i
-        // lands in.
-        auto run_group = [&](uint64_t k0, uint64_t n,
-                             harness::WorkerContext* ctx) {
-            if (shutdown_requested()) {
-                interrupted.store(true);
-                return;
-            }
-            if (before_item)
-                before_item(k0, n);
-            run_injection_batch(design, trial_of(ctx), &faults[first + k0],
-                                (size_t)n, cycles, &records[k0],
-                                coverage ? &coverage[k0] : nullptr);
-        };
-        harness::parallel_for_groups_ctx((uint64_t)count, (uint64_t)batch,
-                                         jobs, trial_context_factory(factory),
-                                         run_group);
-    } else if (jobs == 1) {
-        // Serial fast path: no pool, one warm context on this thread.
-        TrialContext trial(factory);
-        for (uint64_t k = 0; k < (uint64_t)count; ++k)
-            run_one(k, trial);
-    } else {
-        harness::parallel_for_ctx(
-            (uint64_t)count, jobs, trial_context_factory(factory),
-            [&](uint64_t k, harness::WorkerContext* ctx) {
-                run_one(k, trial_of(ctx));
-            });
-    }
+    harness::parallel_for_groups_ctx((uint64_t)count,
+                                     (uint64_t)std::max(batch, 1), jobs,
+                                     trial_context_factory(factory),
+                                     run_group);
     return !interrupted.load();
 }
 
@@ -729,7 +695,7 @@ run_campaign(const Design& design, const TargetFactory& factory,
         shard_cov.resize(faults.size());
 
     // Heartbeat: one monitor thread repaints a stderr status line about
-    // once a second. It reads two atomics (completed count, profiler
+    // once a second. It reads two atomics (started count, profiler
     // busy aggregate) and never touches campaign state, so the report
     // stays byte-identical with or without it.
     std::atomic<uint64_t> done{(uint64_t)completed};
@@ -788,6 +754,10 @@ run_campaign(const Design& design, const TargetFactory& factory,
         });
     }
 
+    // The heartbeat counts trials as their pool item starts.
+    auto count_started = [&done](uint64_t, uint64_t n) {
+        done.fetch_add(n, std::memory_order_relaxed);
+    };
     auto stop_heartbeat = [&] {
         if (!monitor.joinable())
             return;
@@ -807,45 +777,24 @@ run_campaign(const Design& design, const TargetFactory& factory,
                 break;
             }
             size_t end = std::min(completed + chunk, faults.size());
-            size_t lanes = (size_t)std::max(config.batch, 1);
             // Each pool worker carries one warm TrialContext for the
             // whole chunk: the golden/faulted pair is built (and, for
             // compiled engines, the cache probed) once per worker, and
             // every later trial restores the pristine cycle-0 snapshot
             // in place. Restore reproduces construction exactly, so the
             // records and coverage stay byte-identical to --jobs=1.
-            if (lanes <= 1) {
-                harness::parallel_for_ctx(
-                    end - completed, config.jobs,
-                    trial_context_factory(factory),
-                    [&](uint64_t k, harness::WorkerContext* ctx) {
-                        size_t i = completed + k;
-                        report.injections[i] = run_injection(
-                            design, trial_of(ctx), faults[i],
-                            config.cycles,
-                            config.collect_coverage ? &shard_cov[i]
-                                                    : nullptr);
-                        done.fetch_add(1, std::memory_order_relaxed);
-                    });
-            } else {
-                // Batched execution: consecutive faults share one
-                // lockstep batch, one batch per pool item. Records and
-                // per-injection coverage land in the same slots as the
-                // scalar path, so the report and database stay
-                // byte-identical at any (batch, jobs).
-                harness::parallel_for_groups_ctx(
-                    end - completed, lanes, config.jobs,
-                    trial_context_factory(factory),
-                    [&](uint64_t first, uint64_t n,
-                        harness::WorkerContext* ctx) {
-                        size_t i = completed + first;
-                        run_injection_batch(
-                            design, trial_of(ctx), &faults[i], (size_t)n,
-                            config.cycles, &report.injections[i],
-                            config.collect_coverage ? &shard_cov[i]
-                                                    : nullptr);
-                        done.fetch_add(n, std::memory_order_relaxed);
-                    });
+            if (!run_injection_range(
+                    design, factory, faults, completed, end - completed,
+                    config.cycles, config.jobs, config.batch,
+                    &report.injections[completed],
+                    config.collect_coverage ? &shard_cov[completed]
+                                            : nullptr,
+                    count_started)) {
+                // Interrupted mid-chunk: the records past the stop are
+                // default-initialized, so the chunk is neither folded
+                // nor saved and a resume re-runs it whole.
+                report.interrupted = true;
+                break;
             }
             // Fold per-injection maps in fault-list order after the
             // join; merge() is commutative addition, so the database

@@ -78,6 +78,14 @@ struct FaultSpec
     uint64_t stuck_cycles = 1;
 };
 
+/**
+ * Apply `spec` to `model` at a cycle boundary: flip the bit (kBitFlip)
+ * or force it to 0/1 (kStuckAt0/1). Stuck-at faults call this again on
+ * each later boundary of their window. Shared by the scalar and batched
+ * trial loops, so both corrupt state identically.
+ */
+void inject(sim::Model& model, const FaultSpec& spec);
+
 /** What one injection did, fully attributable. */
 struct InjectionRecord
 {
@@ -126,8 +134,8 @@ struct FaultTarget
 using TargetFactory = std::function<FaultTarget()>;
 
 /**
- * Reusable per-worker trial state: the fix for flat parallel scaling
- * (ROADMAP item 2). A campaign trial needs a golden and a faulted
+ * Reusable per-worker trial state: the fix for flat parallel scaling.
+ * A campaign trial needs a golden and a faulted
  * target, and historically built BOTH from the factory for every
  * injection — so `trial/setup` grew with the trial count and jobs=hw
  * barely beat jobs=1. A TrialContext makes that a per-worker cost: it
@@ -314,10 +322,11 @@ struct CampaignReport
     uint64_t resumed = 0;
 
     /**
-     * The campaign stopped early at a chunk boundary because a
-     * shutdown signal arrived (base/signal.hpp). Completed records up
-     * to that boundary are flushed to config.checkpoint_file; the
-     * records past it are default-initialized, so an interrupted
+     * The campaign stopped early because a shutdown signal arrived
+     * (base/signal.hpp): no trial or batch starts after the signal.
+     * Chunks completed before it are flushed to config.checkpoint_file;
+     * the interrupted chunk is not saved and the records from it on
+     * may be default-initialized, so an interrupted
      * report must NOT be published as a final artifact — resume the
      * campaign (same flags) and the eventual report is byte-identical
      * to an uninterrupted run.
@@ -412,20 +421,22 @@ void run_injection_batch(const Design& design, TrialContext& context,
                          obs::CoverageMap* coverage = nullptr);
 
 /**
- * Run the slice faults[first, first + count) through exactly the
- * scalar / thread-sharded / batched dispatch run_campaign uses, writing
- * into records[0..count) (and coverage[0..count) when non-null; both
- * indexed relative to the slice). This is the unit of work an
- * orchestrator worker executes per leased chunk — sharing it with the
- * in-process paths is what keeps the orchestrated report byte-identical
- * to the single-process run by construction.
+ * Run the slice faults[first, first + count) on `jobs` pool workers,
+ * writing into records[0..count) (and coverage[0..count) when
+ * non-null; both indexed relative to the slice). The slice is cut into
+ * consecutive groups of max(batch, 1) faults, one pool item each: a
+ * group of one runs the scalar run_injection, a larger group one
+ * run_injection_batch, both against the worker's warm TrialContext.
+ * This is THE campaign dispatch — run_campaign calls it per chunk and
+ * an orchestrator worker per leased chunk — so orchestrated and
+ * in-process reports are byte-identical by construction.
  *
  * Returns false when a shutdown signal (base/signal.hpp) interrupted
- * the slice; records past the interruption are default-initialized and
- * must not be published. `before_item` (may be empty) runs at the start
- * of every pool item with its [k, n) sub-slice (k relative to the slice
- * start) — the hook the orchestrator's chaos self-test uses to crash a
- * worker mid-chunk.
+ * the slice (it is polled before every pool item); records past the
+ * interruption are default-initialized and must not be published.
+ * `before_item` (may be empty) runs at the start of every pool item
+ * with its [k, n) sub-slice (k relative to the slice start) — the hook
+ * the orchestrator's chaos self-test and run_campaign's heartbeat use.
  */
 bool run_injection_range(
     const Design& design, const TargetFactory& factory,
@@ -435,16 +446,13 @@ bool run_injection_range(
     const std::function<void(uint64_t, uint64_t)>& before_item = {});
 
 /**
- * Run a whole campaign: generate_faults, then run_injection per fault,
- * sharded across config.jobs worker threads (src/harness/parallel.hpp;
- * injections stay in fault-list order, so the report matches a serial
- * run byte for byte). Each pool worker owns one warm TrialContext for
- * the whole campaign (harness per-worker context hooks), so model
- * construction is paid per worker, not per trial. With config.batch >
- * 1, consecutive faults are packed into lockstep batches
- * (run_injection_batch) and each pool worker drives one whole batch;
- * records and coverage land in the same slots, so the report stays
- * byte-identical at any (batch, jobs).
+ * Run a whole campaign: generate_faults, then run_injection_range per
+ * checkpoint chunk (the whole list when config.checkpoint_file is
+ * empty) with config.jobs and config.batch. Injections stay in
+ * fault-list order and records and coverage land in per-fault slots,
+ * so the report matches a serial run byte for byte at any (batch,
+ * jobs). A shutdown signal stops the campaign at the next trial or
+ * batch boundary and sets CampaignReport::interrupted.
  */
 CampaignReport run_campaign(const Design& design,
                             const TargetFactory& factory,

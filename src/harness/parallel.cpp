@@ -232,20 +232,6 @@ parallel_for(uint64_t n, int jobs,
 }
 
 void
-parallel_for_groups(uint64_t n, uint64_t group, int jobs,
-                    const std::function<void(uint64_t, uint64_t)>& fn)
-{
-    if (group < 1)
-        group = 1;
-    uint64_t groups = (n + group - 1) / group;
-    ThreadPool pool(jobs);
-    pool.run(groups, [&fn, n, group](uint64_t g, int) {
-        uint64_t first = g * group;
-        fn(first, std::min(group, n - first));
-    });
-}
-
-void
 parallel_for_metrics(
     uint64_t n, int jobs, obs::MetricsRegistry& merged,
     const std::function<void(uint64_t, obs::MetricsRegistry&)>& fn)
@@ -271,16 +257,6 @@ parallel_for_metrics(
     }
     if (failure != nullptr)
         std::rethrow_exception(failure);
-}
-
-void
-parallel_for_ctx(uint64_t n, int jobs, const ContextFactory& make,
-                 const std::function<void(uint64_t, WorkerContext*)>& fn)
-{
-    ThreadPool pool(jobs);
-    pool.run(n, make, [&fn](uint64_t item, int, WorkerContext* ctx) {
-        fn(item, ctx);
-    });
 }
 
 void

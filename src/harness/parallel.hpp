@@ -133,19 +133,6 @@ void parallel_for(uint64_t n, int jobs,
                   const std::function<void(uint64_t item)>& fn);
 
 /**
- * Sharded loop over contiguous groups: items [0, n) are cut into
- * ceil(n / group) consecutive groups of `group` items (the last group
- * may be short) and fn(first, count) runs once per group, group g on
- * worker (g % jobs). This is the batched-execution shard shape: each
- * pool worker drives one whole lockstep batch (src/fault/batch.cpp),
- * and because groups are contiguous index ranges the caller's
- * per-item result slots are filled exactly as a serial run would.
- */
-void parallel_for_groups(
-    uint64_t n, uint64_t group, int jobs,
-    const std::function<void(uint64_t first, uint64_t count)>& fn);
-
-/**
  * Sharded loop with per-worker metrics: fn(i, registry) writes into its
  * worker's private registry; at join the shards are folded into
  * `merged` in worker order (deterministic merge). If items threw, the
@@ -159,17 +146,17 @@ void parallel_for_metrics(
         fn);
 
 /**
- * parallel_for with per-worker contexts (ThreadPool::run context
- * overload): one make(worker) per worker that receives items, contexts
- * destroyed at return.
- */
-void parallel_for_ctx(
-    uint64_t n, int jobs, const ContextFactory& make,
-    const std::function<void(uint64_t item, WorkerContext* ctx)>& fn);
-
-/**
- * parallel_for_groups with per-worker contexts: group g runs on worker
- * (g % jobs) with that worker's context.
+ * Sharded loop over contiguous groups with per-worker contexts: items
+ * [0, n) are cut into ceil(n / group) consecutive groups of `group`
+ * items (the last group may be short; group 0 counts as 1) and
+ * fn(first, count, ctx) runs once per group, group g on worker
+ * (g % jobs) with that worker's context (ThreadPool::run context
+ * overload: one make(worker) per worker that receives a group,
+ * contexts destroyed at return). This is the fault campaign's shard
+ * shape: each pool item is one scalar trial (group 1) or one whole
+ * lockstep batch (src/fault/batch.cpp), and because groups are
+ * contiguous index ranges the caller's per-item result slots are
+ * filled exactly as a serial run would.
  */
 void parallel_for_groups_ctx(
     uint64_t n, uint64_t group, int jobs, const ContextFactory& make,

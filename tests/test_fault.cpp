@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <csignal>
+
+#include "base/signal.hpp"
 #include "designs/designs.hpp"
 #include "designs/targets.hpp"
 #include "fault/fault.hpp"
@@ -292,6 +296,36 @@ TEST(FaultCampaign, JobsZeroResolvesToHardwareAndStaysDeterministic)
     CampaignReport sharded = run_campaign(*d, factory, config);
     serial.engine = sharded.engine = "T5";
     EXPECT_EQ(serial.to_json().dump(2), sharded.to_json().dump(2));
+}
+
+TEST(FaultCampaign, ShutdownMidCampaignInterruptsWithoutCheckpoint)
+{
+    // Without checkpoint_file the whole campaign is one chunk, so only
+    // the per-trial shutdown poll can stop it. The stimulus raises the
+    // flag during trial 2, as a SIGINT arriving mid-campaign would.
+    auto d = counter_design();
+    auto runs = std::make_shared<std::atomic<int>>(0);
+    TargetFactory factory = [&d, runs]() {
+        FaultTarget t;
+        t.model = sim::make_engine(*d, sim::Tier::kT5StaticAnalysis);
+        t.stimulus = [runs](sim::Model&, uint64_t c) {
+            // Each trial starts two runs: golden and faulted.
+            if (c == 0 && ++*runs == 2 * 2 + 1)
+                request_shutdown(SIGINT);
+        };
+        return t;
+    };
+    CampaignConfig config;
+    config.count = 8;
+    config.cycles = 20;
+    CampaignReport report = run_campaign(*d, factory, config);
+    bool stopped = shutdown_requested();
+    request_shutdown(0);
+
+    EXPECT_TRUE(stopped);
+    EXPECT_TRUE(report.interrupted);
+    // Trial 2 finishes; trials 3..7 never start.
+    EXPECT_EQ(runs->load(), 3 * 2);
 }
 
 // -- TrialContext: the warm-worker restore path (ROADMAP item 2 fix).

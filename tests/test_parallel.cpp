@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -243,14 +244,14 @@ TEST(ThreadPool, SerialContextRunStaysInlineAndTearsDown)
     EXPECT_EQ(live.load(), 0);
 }
 
-TEST(ParallelForCtx, ContextsTornDownEvenWhenAnItemThrows)
+TEST(ParallelForGroupsCtx, ContextsTornDownEvenWhenAnItemThrows)
 {
     std::atomic<int> live{0};
     try {
-        parallel_for_ctx(
-            16, 4,
+        parallel_for_groups_ctx(
+            16, 1, 4,
             [&](int) { return std::make_unique<CountingContext>(&live); },
-            [&](uint64_t i, WorkerContext*) {
+            [&](uint64_t i, uint64_t, WorkerContext*) {
                 if (i == 5)
                     throw std::runtime_error("item 5");
             });
@@ -259,6 +260,52 @@ TEST(ParallelForCtx, ContextsTornDownEvenWhenAnItemThrows)
         EXPECT_STREQ(e.what(), "item 5");
     }
     EXPECT_EQ(live.load(), 0);
+}
+
+namespace {
+
+/** Remembers which worker built it. */
+struct WorkerIdContext final : WorkerContext
+{
+    explicit WorkerIdContext(int w) : worker(w) {}
+    int worker;
+};
+
+} // namespace
+
+TEST(ParallelForGroupsCtx, ContiguousGroupsShardedByGroupIndex)
+{
+    // The campaign shard shape: n=10 in groups of 4 on 3 workers is
+    // (0,4) (4,4) (8,2), group g on worker g % 3, one context each.
+    struct Call
+    {
+        uint64_t first, count;
+        int worker;
+    };
+    std::mutex mu;
+    std::vector<Call> calls;
+    std::atomic<int> made{0};
+    parallel_for_groups_ctx(
+        10, 4, 3,
+        [&](int w) {
+            made++;
+            return std::make_unique<WorkerIdContext>(w);
+        },
+        [&](uint64_t first, uint64_t count, WorkerContext* ctx) {
+            std::lock_guard<std::mutex> lock(mu);
+            calls.push_back(
+                {first, count, static_cast<WorkerIdContext*>(ctx)->worker});
+        });
+    std::sort(calls.begin(), calls.end(),
+              [](const Call& a, const Call& b) { return a.first < b.first; });
+    ASSERT_EQ(calls.size(), 3u);
+    const uint64_t want[3][2] = {{0, 4}, {4, 4}, {8, 2}};
+    for (int g = 0; g < 3; ++g) {
+        EXPECT_EQ(calls[(size_t)g].first, want[g][0]) << "group " << g;
+        EXPECT_EQ(calls[(size_t)g].count, want[g][1]) << "group " << g;
+        EXPECT_EQ(calls[(size_t)g].worker, g % 3) << "group " << g;
+    }
+    EXPECT_EQ(made.load(), 3);
 }
 
 TEST(ParallelForMetrics, CompletedShardsMergeEvenWhenAnItemThrows)
