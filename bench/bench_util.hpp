@@ -300,9 +300,8 @@ report_init(const std::string& name)
 {
     report().set_name(name);
     // Arm the host span profiler so the report's `prof` block is
-    // populated. KOIKA_BENCH_NO_PROF=1 opts out — that is the A/B knob
-    // behind the "profiling disabled costs <2%" overhead claim
-    // (bench_parallel measures both arms).
+    // populated. KOIKA_BENCH_NO_PROF=1 opts out — the A/B knob for
+    // measuring the profiler's own overhead on any bench.
     const char* env = std::getenv("KOIKA_BENCH_NO_PROF");
     bool no_prof = env != nullptr && *env != '\0' &&
                    std::string(env) != "0";

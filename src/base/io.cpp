@@ -70,40 +70,4 @@ write_file_atomic(const std::string& path, const std::string& bytes)
     }
 }
 
-bool
-publish_file_exclusive(const std::string& path, const std::string& bytes)
-{
-    static std::atomic<uint64_t> counter{0};
-    std::string tmp = path + ".tmp." + std::to_string(getpid()) + "." +
-                      std::to_string(counter.fetch_add(1));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            fatal_diag(io_diag("write-output", path),
-                       "cannot write %s (temp file %s)", path.c_str(),
-                       tmp.c_str());
-        }
-        out.write(bytes.data(), (std::streamsize)bytes.size());
-        out.flush();
-        if (!out) {
-            std::remove(tmp.c_str());
-            fatal_diag(io_diag("write-output", path),
-                       "error writing %s", path.c_str());
-        }
-    }
-    // link(2) fails with EEXIST when the destination exists — the
-    // one-winner arbitration rename(2) cannot provide.
-    if (::link(tmp.c_str(), path.c_str()) == 0) {
-        std::remove(tmp.c_str());
-        return true;
-    }
-    int err = errno;
-    std::remove(tmp.c_str());
-    if (err == EEXIST)
-        return false;
-    errno = err;
-    fatal_diag(io_diag("write-output", path), "cannot claim %s",
-               path.c_str());
-}
-
 } // namespace koika

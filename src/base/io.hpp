@@ -29,18 +29,4 @@ std::string read_file(const std::string& path);
  */
 void write_file_atomic(const std::string& path, const std::string& bytes);
 
-/**
- * Atomic *exclusive* publish: like write_file_atomic, but the final
- * name is claimed with link(2) instead of rename(2), so when several
- * processes race to publish the same path, exactly one wins. Returns
- * true for the winner; false when `path` already existed (the loser's
- * temp file is removed and the destination is untouched). rename(2)
- * silently replaces an existing file, so it cannot arbitrate a claim —
- * this is the primitive lease files need. Throws FatalError only on
- * real IO errors (unwritable directory, disk full), never on losing
- * the race.
- */
-bool publish_file_exclusive(const std::string& path,
-                            const std::string& bytes);
-
 } // namespace koika

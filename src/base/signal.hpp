@@ -2,8 +2,8 @@
  * @file
  * Cooperative shutdown on SIGINT/SIGTERM.
  *
- * Long-running commands (fault campaigns, campaign orchestration) must
- * be interruptible without corrupting their artifacts: every durable
+ * Long-running commands (fault campaigns, long simulations) must be
+ * interruptible without corrupting their artifacts: every durable
  * file in this repo is published atomically (base/io.hpp), so the only
  * thing a signal handler has to do is *ask* the work loop to stop at
  * the next safe boundary. The handler sets one async-signal-safe flag;
@@ -23,9 +23,8 @@ namespace koika {
 /**
  * Exit code for "interrupted by SIGINT/SIGTERM after flushing
  * progress": BSD's EX_TEMPFAIL. Distinct from success (0), generic
- * failure (1), usage (2), and incomplete orchestration
- * (orchestrate::kExitIncomplete), so scripts can retry/resume exactly
- * the interrupted case.
+ * failure (1) and usage (2), so scripts can retry/resume exactly the
+ * interrupted case.
  */
 constexpr int kExitInterrupted = 75;
 

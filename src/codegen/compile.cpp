@@ -472,100 +472,6 @@ run_command(const std::string& command, const RunOptions& opts)
     }
 }
 
-ChildProcess
-spawn_process(const std::vector<std::string>& argv,
-              const std::string& log_path)
-{
-    KOIKA_CHECK(!argv.empty());
-    ChildProcess child;
-    for (const std::string& a : argv) {
-        if (!child.command.empty())
-            child.command += ' ';
-        child.command += a;
-    }
-    int log_fd = -1;
-    if (!log_path.empty()) {
-        log_fd = open(log_path.c_str(),
-                      O_WRONLY | O_CREAT | O_APPEND, 0644);
-        if (log_fd < 0)
-            fatal("cannot open log file %s: %s", log_path.c_str(),
-                  std::strerror(errno));
-    }
-    pid_t pid = fork();
-    if (pid < 0) {
-        if (log_fd >= 0)
-            close(log_fd);
-        fatal("fork failed: %s", std::strerror(errno));
-    }
-    if (pid == 0) {
-        // Child: own process group, same containment as run_once, so a
-        // kill of the group takes out anything the worker spawned too.
-        setpgid(0, 0);
-        int devnull = open("/dev/null", O_RDWR);
-        if (devnull >= 0)
-            dup2(devnull, STDIN_FILENO);
-        int out = log_fd >= 0 ? log_fd : devnull;
-        if (out >= 0) {
-            dup2(out, STDOUT_FILENO);
-            dup2(out, STDERR_FILENO);
-        }
-        if (devnull >= 0 && devnull > STDERR_FILENO)
-            close(devnull);
-        if (log_fd >= 0 && log_fd > STDERR_FILENO)
-            close(log_fd);
-        std::vector<char*> cargv;
-        cargv.reserve(argv.size() + 1);
-        for (const std::string& a : argv)
-            cargv.push_back(const_cast<char*>(a.c_str()));
-        cargv.push_back(nullptr);
-        execv(cargv[0], cargv.data());
-        _exit(127);
-    }
-    if (log_fd >= 0)
-        close(log_fd);
-    // Both sides race to setpgid so the group exists before any kill.
-    setpgid(pid, pid);
-    child.pid = pid;
-    return child;
-}
-
-void
-kill_process_group(const ChildProcess& child)
-{
-    if (child.pid <= 0)
-        return;
-    kill(-child.pid, SIGKILL);
-    kill(child.pid, SIGKILL);
-}
-
-bool
-try_reap(ChildProcess& child, int* exit_code, int* term_signal)
-{
-    *exit_code = -1;
-    *term_signal = 0;
-    if (child.pid <= 0)
-        return false;
-    int status = 0;
-    pid_t rv = waitpid(child.pid, &status, WNOHANG);
-    if (rv == 0)
-        return false;
-    if (rv < 0) {
-        // Already reaped elsewhere (shouldn't happen): report SIGKILL
-        // so the caller never mistakes it for a clean exit.
-        *term_signal = SIGKILL;
-        child.pid = -1;
-        return true;
-    }
-    if (WIFEXITED(status))
-        *exit_code = WEXITSTATUS(status);
-    else if (WIFSIGNALED(status))
-        *term_signal = WTERMSIG(status);
-    else
-        *term_signal = SIGKILL;
-    child.pid = -1;
-    return true;
-}
-
 CompileResult
 compile_cpp(const std::string& workdir,
             const std::vector<std::pair<std::string, std::string>>& files,

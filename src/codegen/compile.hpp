@@ -31,8 +31,6 @@
 #include <string>
 #include <vector>
 
-#include <sys/types.h>
-
 #include "codegen/cpp_emit.hpp"
 #include "koika/design.hpp"
 #include "obs/metrics.hpp"
@@ -85,41 +83,6 @@ struct RunResult
  */
 RunResult run_command(const std::string& command,
                       const RunOptions& opts = {});
-
-/**
- * A supervised child process, for callers that manage several children
- * concurrently (the campaign orchestrator) instead of blocking in
- * run_command. The child runs in its own process group — the same
- * containment run_command's watchdog uses — so kill_process_group
- * takes out the child and everything it spawned in one shot.
- */
-struct ChildProcess
-{
-    pid_t pid = -1;
-    /** The argv[0]..argv[n] line, for diagnostics. */
-    std::string command;
-};
-
-/**
- * fork/exec `argv` (argv[0] is the executable path; no shell) with
- * stdin from /dev/null and stdout+stderr appended to `log_path` (or
- * /dev/null when empty). The child is its own process group leader.
- * Throws FatalError when the fork/open fails; an exec failure surfaces
- * as the child exiting 127.
- */
-ChildProcess spawn_process(const std::vector<std::string>& argv,
-                           const std::string& log_path);
-
-/** SIGKILL the child's whole process group (idempotent, best effort). */
-void kill_process_group(const ChildProcess& child);
-
-/**
- * Non-blocking reap: false while the child is still running. On true,
- * `exit_code` is the exit status (-1 if signaled) and `term_signal`
- * the terminating signal (0 if exited) — the same decoding RunResult
- * uses. A child may be reaped exactly once.
- */
-bool try_reap(ChildProcess& child, int* exit_code, int* term_signal);
 
 /**
  * The compiled-model cache. Content addressed: key = SHA-256 of the
@@ -177,8 +140,7 @@ const std::string& compiler_identity();
 
 /**
  * compiler_identity() flattened to one line (newlines become spaces) —
- * the form embedded in single-line contexts: bench `host` blocks and
- * telemetry meta records.
+ * the form embedded in single-line contexts: bench `host` blocks.
  */
 const std::string& compiler_identity_line();
 

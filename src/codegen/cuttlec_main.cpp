@@ -58,16 +58,9 @@
  *       stays byte-identical to a serial run (same seed ⇒ same bytes).
  *       Adding --coverage=FILE accumulates a coverage database over the
  *       faulted runs, also byte-identical at any job count.
- *   cuttlec --design rv32i --fault-orchestrate=DIR --fault-count=400 \
- *           --workers=4 --fault-report=rv32i-faults.json
- *       the same campaign drained by a supervised fleet of worker
- *       *processes* over a shared campaign directory (lease-claimed
- *       chunks, heartbeats, crash/hang reclaim with retry + backoff;
- *       src/orchestrate). The merged report is byte-identical to the
- *       single-process run; --chaos=P makes the workers crash/hang on
- *       purpose to prove it. Interrupting either flavor with SIGINT or
- *       SIGTERM shuts down gracefully (exit 75): in-flight progress is
- *       flushed and a rerun with the same flags resumes.
+ *   Interrupting a campaign with SIGINT or SIGTERM shuts down
+ *   gracefully (exit 75): with --fault-checkpoint= in-flight progress
+ *   is flushed and a rerun with the same flags resumes.
  *
  * Scaling: --engine=compiled reuses previously compiled models through
  * a content-addressed cache (--cache-dir, default ~/.cache/cuttlesim;
@@ -109,9 +102,7 @@
 #include "obs/coverage.hpp"
 #include "obs/prof.hpp"
 #include "obs/stats.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "orchestrate/orchestrator.hpp"
 #include "replay/bisect.hpp"
 #include "replay/checkpoint.hpp"
 #include "riscv/programs.hpp"
@@ -220,9 +211,6 @@ usage()
            "               [--engine=T0..T5|ref|compiled] [--cxxflags=FLAGS]\n"
            "               [--fault-campaign=SEED] [--fault-count=N]\n"
            "               [--fault-report=FILE] [--fault-checkpoint=FILE]\n"
-           "               [--fault-orchestrate=DIR] [--workers=N]\n"
-           "               [--chunk-size=N] [--worker-timeout=SEC]\n"
-           "               [--max-retries=K] [--chaos=P]\n"
            "               [--jobs=N] [--batch=N]\n"
            "               [--cache-dir=DIR] [--no-cache]\n"
            "               [--checkpoint=FILE] [--checkpoint-every=N]\n"
@@ -233,7 +221,6 @@ usage()
            "               [--perturb=CYCLE:REG:BIT] [--cycles N]\n"
            "               [--bisect-report=FILE]\n"
            "       cuttlec --coverage-merge OUT IN...\n"
-           "       cuttlec --fault-status=DIR\n"
            "       cuttlec --list\n"
            "\n"
            "  --stats=FILE  simulate and write per-rule commit/abort/\n"
@@ -292,34 +279,6 @@ usage()
            "                FILE after each chunk of injections and a\n"
            "                matching file resumes instead of re-running;\n"
            "                the final report is byte-identical either way\n"
-           "  --fault-orchestrate=DIR\n"
-           "                drain the campaign with a supervised fleet of\n"
-           "                worker processes over campaign directory DIR\n"
-           "                (lease-claimed chunks, heartbeats, crash/hang\n"
-           "                reclaim). The merged report is byte-identical\n"
-           "                to the single-process run; exit 4 when chunks\n"
-           "                exhausted their retries (see DIR/orchestrate\n"
-           "                .json's `incomplete` block). A rerun with the\n"
-           "                same flags resumes from the completed chunks.\n"
-           "                --jobs= is the per-worker thread count here\n"
-           "  --workers=N   worker processes to supervise (default 2)\n"
-           "  --chunk-size=N    injections per lease-claimed chunk\n"
-           "                (default 16)\n"
-           "  --worker-timeout=SEC   reclaim a chunk whose worker's\n"
-           "                heartbeat is older than SEC (default 10)\n"
-           "  --max-retries=K   per-chunk reclaim budget and per-slot\n"
-           "                respawn budget (default 3); past it the chunk\n"
-           "                is marked failed and the report degrades\n"
-           "                gracefully instead of aborting\n"
-           "  --chaos=P     self-test: workers crash mid-chunk, hang, or\n"
-           "                crash after publishing with probability P per\n"
-           "                claim (default 0)\n"
-           "  --fault-status=DIR\n"
-           "                pretty-print the live status.json a running\n"
-           "                --fault-orchestrate supervisor publishes in\n"
-           "                DIR (state, trials/sec, ETA, per-worker\n"
-           "                utilization, incomplete chunks); exit 1 when\n"
-           "                no status has been published yet\n"
            "  --checkpoint=FILE\n"
            "                save a cuttlesim-ckpt-v1 checkpoint of the\n"
            "                full simulation state (registers, engine\n"
@@ -492,78 +451,6 @@ fault_campaign(const koika::Design& design, const std::string& engine,
     run_metrics().merge_from(metrics);
     std::cout << report.to_text() << metrics.to_text();
     return 0;
-}
-
-/**
- * `cuttlec --fault-orchestrate=DIR`: the same campaign, drained by a
- * supervised multi-process worker fleet (src/orchestrate). The merged
- * --fault-report bytes are identical to fault_campaign's because both
- * paths assemble them with fault::campaign_report_json over the same
- * record set; here the report is only written when the campaign is
- * complete (a degraded campaign's partial report lives in
- * DIR/orchestrate.json under its `incomplete` block).
- */
-int
-fault_orchestrate_cmd(const koika::Design& design,
-                      const std::string& engine, const std::string& dir,
-                      uint64_t seed, int count, uint64_t cycles, int jobs,
-                      int batch, int workers, int chunk_size,
-                      double worker_timeout,
-                      int max_retries, double chaos,
-                      const std::string& report_file, const RunOutputs& out)
-{
-    koika::orchestrate::OrchestratorConfig config;
-    config.dir = dir;
-    config.design = design.name();
-    config.engine = engine;
-    config.campaign.seed = seed;
-    config.campaign.count = count;
-    config.campaign.cycles = cycles;
-    config.campaign.jobs = jobs;
-    config.campaign.batch = batch;
-    config.campaign.collect_coverage = out.wants_coverage();
-    config.workers = workers;
-    config.chunk_size = chunk_size;
-    config.worker_timeout_seconds = worker_timeout;
-    config.max_retries = max_retries;
-    config.chaos = chaos;
-
-    koika::orchestrate::OrchestratorReport report =
-        koika::orchestrate::run_orchestrator(config);
-
-    if (report.interrupted) {
-        std::cerr << "cuttlec: orchestrated campaign interrupted; "
-                     "completed chunks are kept — rerun with the same "
-                     "flags to resume from '"
-                  << dir << "'\n";
-        std::cout << report.to_text();
-        return koika::kExitInterrupted;
-    }
-
-    koika::obs::ProfScope write_span("campaign/report-write");
-    if (report.campaign.has_coverage)
-        write_coverage_outputs(design, report.campaign.coverage, out);
-
-    if (!report_file.empty()) {
-        if (report.complete()) {
-            write_file(report_file,
-                       koika::fault::campaign_report_json(
-                           report.campaign,
-                           koika::fault::campaign_metrics(report.campaign))
-                               .dump(2) +
-                           "\n");
-        } else {
-            std::cerr << "cuttlec: warning: campaign incomplete ("
-                      << report.missing_injections.size()
-                      << " injections missing); '" << report_file
-                      << "' not written — see " << dir
-                      << "/orchestrate.json\n";
-        }
-    }
-    write_span.close();
-    run_metrics().merge_from(report.metrics);
-    std::cout << report.to_text() << report.metrics.to_text();
-    return report.complete() ? 0 : koika::orchestrate::kExitIncomplete;
 }
 
 /**
@@ -1240,18 +1127,16 @@ main(int argc, char** argv)
     std::string design_name, out_dir;
     std::string engine = "T5", cxxflags = "-O2", fault_report;
     std::string cache_dir = koika::codegen::default_cache_dir();
-    std::string fault_checkpoint, fault_orchestrate, fault_worker;
+    std::string fault_checkpoint;
     std::string bisect_a, bisect_b, perturb, bisect_report;
     std::string profile_file, profile_trace;
-    std::string fault_status, metrics_file;
+    std::string metrics_file;
     RunOutputs outputs;
     bool stats = false, print_koika = false, counters = true;
     bool instrument = false, fault = false, bisect = false;
     bool progress = false;
     uint64_t cycles = 1000, fault_seed = 1;
     int fault_count = 100, jobs = 1, batch = 1;
-    int worker_id = 0, workers = 2, chunk_size = 16, max_retries = 3;
-    double worker_timeout = 10, chaos = 0;
     // --metrics= is pre-scanned so the subcommands that return straight
     // out of the parse loop (--list, --coverage-merge) still honor it.
     for (int i = 1; i < argc; ++i) {
@@ -1312,30 +1197,6 @@ main(int argc, char** argv)
         } else if (arg.rfind("--fault-checkpoint=", 0) == 0) {
             fault_checkpoint =
                 arg.substr(std::strlen("--fault-checkpoint="));
-        } else if (arg.rfind("--fault-orchestrate=", 0) == 0) {
-            fault = true;
-            fault_orchestrate =
-                arg.substr(std::strlen("--fault-orchestrate="));
-        } else if (arg.rfind("--fault-worker=", 0) == 0) {
-            fault_worker = arg.substr(std::strlen("--fault-worker="));
-        } else if (arg.rfind("--worker-id=", 0) == 0) {
-            worker_id = (int)std::strtol(
-                arg.c_str() + std::strlen("--worker-id="), nullptr, 10);
-        } else if (arg.rfind("--workers=", 0) == 0) {
-            workers = (int)std::strtol(
-                arg.c_str() + std::strlen("--workers="), nullptr, 10);
-        } else if (arg.rfind("--chunk-size=", 0) == 0) {
-            chunk_size = (int)std::strtol(
-                arg.c_str() + std::strlen("--chunk-size="), nullptr, 10);
-        } else if (arg.rfind("--worker-timeout=", 0) == 0) {
-            worker_timeout = std::strtod(
-                arg.c_str() + std::strlen("--worker-timeout="), nullptr);
-        } else if (arg.rfind("--max-retries=", 0) == 0) {
-            max_retries = (int)std::strtol(
-                arg.c_str() + std::strlen("--max-retries="), nullptr, 10);
-        } else if (arg.rfind("--chaos=", 0) == 0) {
-            chaos = std::strtod(arg.c_str() + std::strlen("--chaos="),
-                                nullptr);
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
             outputs.checkpoint =
                 arg.substr(std::strlen("--checkpoint="));
@@ -1367,8 +1228,6 @@ main(int argc, char** argv)
             profile_file = arg.substr(std::strlen("--profile="));
         } else if (arg.rfind("--profile-trace=", 0) == 0) {
             profile_trace = arg.substr(std::strlen("--profile-trace="));
-        } else if (arg.rfind("--fault-status=", 0) == 0) {
-            fault_status = arg.substr(std::strlen("--fault-status="));
         } else if (arg.rfind("--metrics=", 0) == 0) {
             // already pre-scanned above
         } else if (arg == "--progress") {
@@ -1389,43 +1248,8 @@ main(int argc, char** argv)
             return usage();
         }
     }
-    // Live campaign introspection: pretty-print the status.json a
-    // running (or finished) supervisor published. Like worker mode it
-    // needs no --design; everything comes from the campaign directory.
-    if (!fault_status.empty()) {
-        try {
-            koika::obs::Json s = koika::obs::Json::parse(koika::read_file(
-                koika::orchestrate::status_path(fault_status)));
-            std::cout << koika::obs::render_status_text(s);
-            return 0;
-        } catch (const std::exception& err) {
-            std::cerr << "cuttlec: cannot read campaign status from '"
-                      << fault_status << "': " << err.what() << "\n";
-            return 1;
-        }
-    }
-    // Worker mode: everything the worker needs (design, engine, fault
-    // list, chunking) comes from the campaign directory's manifest, so
-    // it is handled before the --design requirement below.
-    if (!fault_worker.empty()) {
-        try {
-            return koika::orchestrate::run_worker(fault_worker, worker_id);
-        } catch (const koika::FatalError& err) {
-            std::cerr << "cuttlec[worker " << worker_id
-                      << "]: " << err.what() << "\n";
-            return 1;
-        }
-    }
-
     if (design_name.empty())
         return usage();
-
-    if (!fault_orchestrate.empty() && !fault_checkpoint.empty()) {
-        std::cerr << "cuttlec: --fault-orchestrate manages its own "
-                     "progress (the chunk files in the campaign "
-                     "directory); --fault-checkpoint does not apply\n";
-        return usage();
-    }
 
     koika::sim::Tier tier = koika::sim::Tier::kT5StaticAnalysis;
     bool compiled_engine = engine == "compiled";
@@ -1476,12 +1300,6 @@ main(int argc, char** argv)
             koika::codegen::DlModelOptions dlopts;
             dlopts.cxxflags = cxxflags;
             dlopts.cache.dir = cache_dir;
-            if (!fault_orchestrate.empty())
-                return fault_orchestrate_cmd(
-                    *design, engine, fault_orchestrate, fault_seed,
-                    fault_count, cycles, jobs, batch, workers,
-                    chunk_size, worker_timeout, max_retries, chaos,
-                    fault_report, outputs);
             return fault_campaign(*design, engine, dlopts, fault_seed,
                                   fault_count, cycles, jobs, batch,
                                   progress, fault_report,

@@ -19,6 +19,16 @@
 #error "CUTTLESIM_SRC_DIR must be defined by the build system"
 #endif
 
+// A sanitized host (-DKOIKA_SANITIZE=ON) builds the models it dlopens
+// with the same sanitizers, so corrupted state that trips a memory or
+// UB bug in generated code is reported like one in the interpreters.
+#ifdef CUTTLESIM_SANITIZE
+#define CUTTLESIM_DL_SANITIZE_FLAGS \
+    " -fsanitize=address,undefined -fno-omit-frame-pointer"
+#else
+#define CUTTLESIM_DL_SANITIZE_FLAGS ""
+#endif
+
 namespace koika::codegen {
 
 namespace {
@@ -138,8 +148,8 @@ load_library(const Design& design, const DlModelOptions& options)
     // resolves generated_model.hpp and the two base .cpp includes. The
     // flags are hashed into the content-addressed cache key, so shared
     // objects and standalone binaries can never collide in the cache.
-    std::string flags =
-        options.cxxflags + " -fPIC -shared -I " CUTTLESIM_SRC_DIR;
+    std::string flags = options.cxxflags + CUTTLESIM_DL_SANITIZE_FLAGS
+                        " -fPIC -shared -I " CUTTLESIM_SRC_DIR;
     CompileResult compiled =
         compile_cpp(workdir,
                     {{cls + ".model.hpp", std::move(model)},

@@ -3,12 +3,10 @@
  * Engine construction and fresh-system factories for registry designs.
  *
  * Everything that runs a design — cuttlec's simulate/fault/bisect
- * paths, the campaign orchestrator's worker processes, benches — needs
- * the same two ingredients: "build me the model for engine E" and
- * "build me a complete, identically-initialized system (model +
- * stimulus + peripherals) for design D". They used to live inside
- * cuttlec's main; they are a library now so out-of-process workers can
- * reconstruct byte-identical campaign targets from a manifest alone.
+ * paths, tests, benches — needs the same two ingredients: "build me
+ * the model for engine E" and "build me a complete,
+ * identically-initialized system (model + stimulus + peripherals) for
+ * design D".
  *
  * Engine names follow the CLI convention: "T0".."T5" interpreter
  * tiers, "ref" the reference interpreter, and "compiled" the generated
@@ -55,10 +53,8 @@ std::string engine_label(const std::string& engine);
  * memories and ports, so checkpoints capture the whole system.
  *
  * Deterministic by construction: two factories built from the same
- * (design, engine) produce targets that simulate byte-identically —
- * the property that lets orchestrated campaign workers rebuild their
- * targets from a manifest and still merge into the bytes a
- * single-process run would have produced.
+ * (design, engine) produce targets that simulate byte-identically, so
+ * every pool worker's TrialContext starts from the same state.
  */
 fault::TargetFactory
 make_target_factory(const Design& design, const std::string& engine,

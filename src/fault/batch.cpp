@@ -26,9 +26,9 @@
  * Scalar cost per trial is 2*C model-cycles. Batched cost is C/N for
  * the shared golden plus C - spec.cycle for the lane's post-injection
  * suffix (C/2 on average over a uniform fault list). That bound is not
- * yet a measured speedup: bench_batch's smoke-mode baseline
- * (bench/baselines/BENCH_batch.json, 12 trials x 150 cycles) records
- * speedup_vs_scalar 1.04 batched and 1.15 batched + jobs, with lane
+ * yet a measured speedup: a bench_batch smoke-mode run (12 trials x
+ * 150 cycles, 1-core host) recorded speedup_vs_scalar 1.04 batched
+ * and 1.15 batched + jobs, with lane
  * forking (batch/pack) taking most of the batch time. The records and
  * coverage maps are byte-identical to run_injection's at any lane
  * count: the per-cycle order of events (advance, detection scan,

@@ -82,8 +82,8 @@ jfield(const obs::Json& j, const char* key)
     return *v;
 }
 
-} // namespace
-
+/** Inverse of injection_to_json (checkpoint resume); FatalError on
+ *  missing fields. */
 InjectionRecord
 injection_from_json(const obs::Json& e)
 {
@@ -118,6 +118,9 @@ injection_from_json(const obs::Json& e)
     return r;
 }
 
+/** The `config` block reports and checkpoints echo: seed, count,
+ *  cycles, stuck_at, max_stuck_cycles (exactly the fields that change
+ *  what gets injected). */
 obs::Json
 campaign_config_echo(const CampaignConfig& config)
 {
@@ -129,8 +132,6 @@ campaign_config_echo(const CampaignConfig& config)
     cfg["max_stuck_cycles"] = config.max_stuck_cycles;
     return cfg;
 }
-
-namespace {
 
 /** Write campaign progress (completed prefix) atomically. */
 void
@@ -632,8 +633,6 @@ run_injection_range(const Design& design, const TargetFactory& factory,
             interrupted.store(true);
             return;
         }
-        // before_item sees the whole group, so a chaos crash aimed at
-        // injection i fires whichever group i lands in.
         if (before_item)
             before_item(k, n);
         TrialContext& trial = static_cast<TrialWorkerContext*>(ctx)->trial;

@@ -427,16 +427,15 @@ void run_injection_batch(const Design& design, TrialContext& context,
  * consecutive groups of max(batch, 1) faults, one pool item each: a
  * group of one runs the scalar run_injection, a larger group one
  * run_injection_batch, both against the worker's warm TrialContext.
- * This is THE campaign dispatch — run_campaign calls it per chunk and
- * an orchestrator worker per leased chunk — so orchestrated and
- * in-process reports are byte-identical by construction.
+ * This is THE campaign dispatch: run_campaign calls it per checkpoint
+ * chunk.
  *
  * Returns false when a shutdown signal (base/signal.hpp) interrupted
  * the slice (it is polled before every pool item); records past the
  * interruption are default-initialized and must not be published.
  * `before_item` (may be empty) runs at the start of every pool item
  * with its [k, n) sub-slice (k relative to the slice start) — the hook
- * the orchestrator's chaos self-test and run_campaign's heartbeat use.
+ * run_campaign's heartbeat uses.
  */
 bool run_injection_range(
     const Design& design, const TargetFactory& factory,
@@ -465,26 +464,11 @@ CampaignReport run_campaign(const Design& design,
 TargetFactory
 closed_target(const std::function<std::unique_ptr<sim::Model>()>& make_model);
 
-// -- Report-assembly helpers (shared with the campaign orchestrator) ---------
-//
-// Orchestrated multi-process campaigns must produce bytes identical to
-// a single-process run. Instead of asking two code paths to agree by
-// convention, the serialization of one injection record, the config
-// echo, and the final report+metrics assembly are THE functions below,
-// used by run_campaign, the checkpoint format, cuttlec, and
-// src/orchestrate alike.
+// -- Report-assembly helpers -------------------------------------------------
 
-/** One injection record as it appears in reports, checkpoints, and
- *  orchestrator chunk files (index = position in the fault list). */
+/** One injection record as it appears in reports and checkpoints
+ *  (index = position in the fault list). */
 obs::Json injection_to_json(size_t index, const InjectionRecord& rec);
-
-/** Inverse of injection_to_json; FatalError on missing fields. */
-InjectionRecord injection_from_json(const obs::Json& e);
-
-/** The `config` block reports and checkpoints echo: seed, count,
- *  cycles, stuck_at, max_stuck_cycles (exactly the fields that change
- *  what gets injected). */
-obs::Json campaign_config_echo(const CampaignConfig& config);
 
 /** The metrics registry a standalone campaign exports: outcome counts
  *  under "fault/<design>" (see CampaignReport::export_to). */
@@ -494,8 +478,7 @@ obs::MetricsRegistry campaign_metrics(const CampaignReport& report);
  * The full fault-report JSON artifact cuttlec writes for
  * --fault-report=: report.to_json() plus the `metrics` block and — for
  * coverage-collecting campaigns — the coverage summary. Byte-identical
- * inputs produce byte-identical artifacts, whichever process (or how
- * many) ran the injections.
+ * inputs produce byte-identical artifacts.
  */
 obs::Json campaign_report_json(const CampaignReport& report,
                                const obs::MetricsRegistry& metrics);

@@ -73,7 +73,7 @@ struct ThreadPool::Impl
         // named). A plain once-latch would miss profilers enabled
         // after this pool's first batch — or re-enabled between
         // batches — leaving the lane as an anonymous "thread-N" id
-        // that breaks fleet lane-merge by name.
+        // instead of its worker name in the profile report.
         uint64_t named_gen = 0;
         for (;;) {
             uint64_t batch_n;

@@ -205,4 +205,16 @@ MetricsRegistry::to_text() const
     return out;
 }
 
+Json
+metrics_artifact(const std::string& design, const std::string& engine,
+                 const MetricsRegistry& metrics)
+{
+    Json root = Json::object();
+    root["schema"] = kMetricsSchema;
+    root["design"] = design;
+    root["engine"] = engine;
+    root["metrics"] = metrics.to_json();
+    return root;
+}
+
 } // namespace koika::obs

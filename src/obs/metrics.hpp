@@ -103,4 +103,16 @@ class MetricsRegistry
     std::map<std::string, Histogram> histograms_;
 };
 
+/** Schema tag of the standalone metrics artifact. */
+inline constexpr const char* kMetricsSchema = "cuttlesim-metrics-v1";
+
+/**
+ * The standalone cuttlesim-metrics-v1 artifact written by
+ * `cuttlec --metrics=FILE`: the full registry of a run plus the
+ * design/engine identity (either may be empty for modes without one,
+ * e.g. --list).
+ */
+Json metrics_artifact(const std::string& design, const std::string& engine,
+                      const MetricsRegistry& metrics);
+
 } // namespace koika::obs

@@ -158,8 +158,8 @@ void
 Profiler::set_thread_name(const std::string& name)
 {
     // Deliberately NOT gated on enabled(): a lane named before (or
-    // between) recording epochs must keep its name, or the fleet
-    // lane-merge by name falls back to anonymous "thread-N" ids.
+    // between) recording epochs must keep its name, or the report
+    // falls back to an anonymous "thread-N" id for it.
     ThreadBuf& buf = local_buf();
     std::lock_guard<std::mutex> lock(mutex_);
     buf.name = name;
@@ -285,12 +285,6 @@ Profiler::drain_since(std::map<const void*, uint64_t>& cursors) const
         out.push_back(std::move(ts));
     }
     return out;
-}
-
-uint64_t
-Profiler::epoch_monotonic_ns() const
-{
-    return (uint64_t)epoch_ns_.load(std::memory_order_relaxed);
 }
 
 double

@@ -189,7 +189,7 @@ class Profiler
     /** Snapshot everything recorded so far (safe while recording). */
     Report report() const;
 
-    /** Spans of one thread, for incremental export (telemetry). */
+    /** Spans of one thread, for incremental export. */
     struct ThreadSpans
     {
         std::string thread;
@@ -197,24 +197,16 @@ class Profiler
     };
 
     /**
-     * Incremental span export for the fleet telemetry pipeline
-     * (src/obs/telemetry.hpp): return every span committed since the
-     * last call with the same cursor map, grouped by thread name, and
-     * advance the cursors. Safe while recording (reads the committed
+     * Incremental span export for callers that attribute time window by
+     * window (perfbench's traced run drains the spans of each operation
+     * it times): return every span committed since the last call with
+     * the same cursor map, grouped by thread name, and advance the
+     * cursors. Safe while recording (reads the committed
      * prefix like report()); a fresh cursor map drains from the start.
      * Threads with no new spans are omitted.
      */
     std::vector<ThreadSpans>
     drain_since(std::map<const void*, uint64_t>& cursors) const;
-
-    /**
-     * The profiler epoch as raw CLOCK_MONOTONIC/steady_clock
-     * nanoseconds. The monotonic clock is machine-wide, so publishing
-     * this value lets another process on the same host translate this
-     * process's span timestamps into its own profiler timeline — the
-     * clock-alignment key for merging multi-process telemetry.
-     */
-    uint64_t epoch_monotonic_ns() const;
 
     /** Total kWork seconds recorded for one phase path so far. */
     double phase_total_seconds(const std::string& phase) const;

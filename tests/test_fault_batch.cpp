@@ -243,7 +243,8 @@ TEST(FaultBatch, BatchComposesWithJobs)
 TEST(FaultBatch, PerTrialCoverageMapsMatchScalar)
 {
     // Per-trial maps (not just the merged database) are part of the
-    // contract: the orchestrator and the campaign merge them itself.
+    // contract: run_injection_range hands them back per slot and the
+    // campaign merges them itself.
     auto d = counter_design();
     auto factory = tier_factory(*d);
     std::vector<FaultSpec> specs = {

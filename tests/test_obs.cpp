@@ -132,6 +132,24 @@ TEST(Metrics, ToTextMentionsEveryMetric)
 
 // -- SimStats ---------------------------------------------------------------
 
+TEST(Metrics, ArtifactShape)
+{
+    MetricsRegistry m;
+    m.inc("fault/trials", 54);
+    m.set_gauge("fault/wall", 1.5);
+    Json a = metrics_artifact("collatz", "T5", m);
+    EXPECT_EQ(a.find("schema")->as_string(), kMetricsSchema);
+    EXPECT_EQ(a.find("design")->as_string(), "collatz");
+    EXPECT_EQ(a.find("engine")->as_string(), "T5");
+    const Json* counters = a.find("metrics")->find("counters");
+    ASSERT_NE(counters, nullptr);
+    EXPECT_EQ(counters->find("fault/trials")->as_u64(), 54u);
+    // Design/engine may be empty (e.g. --list) but must be present.
+    Json b = metrics_artifact("", "", m);
+    ASSERT_NE(b.find("design"), nullptr);
+    EXPECT_EQ(b.find("design")->as_string(), "");
+}
+
 TEST(SimStatsTest, JsonRoundTrip)
 {
     SimStats s;

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate BENCH_*.json files against the cuttlesim-bench-v1 schema.
+"""Validate BENCH_*.json files and metrics artifacts.
 
 Every bench binary (bench/bench_util.hpp, BenchReport::write) emits one
 BENCH_<name>.json; this checker is the executable form of the schema
@@ -8,7 +8,13 @@ over each smoke-mode bench run (label: bench-smoke), so a drifting
 writer fails the suite instead of silently producing unparseable
 results.
 
+A file tagged cuttlesim-metrics-v1 (`cuttlec --metrics=FILE`, documented
+in docs/OBSERVABILITY.md) is validated as that artifact instead: design
+and engine strings plus the same MetricsRegistry block a bench report
+carries.
+
 Usage: check_bench_schema.py FILE.json [FILE.json ...]
+       check_bench_schema.py --self-test
 Exits 0 when every file validates; prints one line per problem.
 """
 
@@ -19,9 +25,57 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import check_prof_schema  # the embedded `prof` block is cuttlesim-prof-v1
 
+METRICS_SCHEMA = "cuttlesim-metrics-v1"
+
 
 def err(problems, path, msg):
     problems.append(f"{path}: {msg}")
+
+
+def is_number(v):
+    return not isinstance(v, bool) and isinstance(v, (int, float))
+
+
+def is_uint(v):
+    return not isinstance(v, bool) and isinstance(v, int) and v >= 0
+
+
+def check_metrics_block(problems, where, m):
+    """A MetricsRegistry::to_json block: non-negative integer counters,
+    numeric gauges, a histograms object."""
+    if not isinstance(m, dict):
+        err(problems, where, "'metrics' must be an object "
+                             "(MetricsRegistry::to_json)")
+        return
+    counters = m.get("counters")
+    if not isinstance(counters, dict):
+        err(problems, where, "metrics.counters must be an object")
+    else:
+        for name, v in counters.items():
+            if not is_uint(v):
+                err(problems, where, f"metrics.counters[{name!r}] must be "
+                                     f"a non-negative integer")
+    gauges = m.get("gauges")
+    if not isinstance(gauges, dict):
+        err(problems, where, "metrics.gauges must be an object")
+    else:
+        for name, v in gauges.items():
+            if not is_number(v):
+                err(problems, where, f"metrics.gauges[{name!r}] must be "
+                                     f"a number")
+    if not isinstance(m.get("histograms"), dict):
+        err(problems, where, "metrics.histograms must be an object")
+
+
+def validate_metrics(problems, path, root):
+    """The cuttlec --metrics=FILE artifact."""
+    if root.get("schema") != METRICS_SCHEMA:
+        err(problems, path, f"schema tag must be '{METRICS_SCHEMA}', got "
+                            f"{root.get('schema')!r}")
+    for field in ("design", "engine"):
+        if not isinstance(root.get(field), str):
+            err(problems, path, f"'{field}' must be a string (may be empty)")
+    check_metrics_block(problems, path, root.get("metrics"))
 
 
 def check_number(problems, path, obj, key, required=True):
@@ -146,6 +200,9 @@ def check_file(problems, path):
     if not isinstance(root, dict):
         err(problems, path, "root must be an object")
         return
+    if root.get("schema") == METRICS_SCHEMA:
+        validate_metrics(problems, path, root)
+        return
     if root.get("schema") != "cuttlesim-bench-v1":
         err(problems, path,
             f"schema tag must be 'cuttlesim-bench-v1', got "
@@ -165,15 +222,37 @@ def check_file(problems, path):
     # be a valid cuttlesim-prof-v1 report when present.
     if "prof" in root:
         check_prof_schema.validate(problems, f"{path} prof", root["prof"])
-    metrics = root.get("metrics")
-    if not isinstance(metrics, dict):
-        err(problems, path, "'metrics' must be an object "
-                            "(MetricsRegistry::to_json)")
+    check_metrics_block(problems, path, root.get("metrics"))
     if root.get("bench") == "batch":
         check_batch(problems, path, root)
 
 
+def self_test():
+    pristine = {"schema": METRICS_SCHEMA, "design": "collatz",
+                "engine": "T5 static-analysis",
+                "metrics": {"counters": {"fault/trials": 54},
+                            "gauges": {"fault/wall": 1.5},
+                            "histograms": {}}}
+    problems = []
+    validate_metrics(problems, "metrics", pristine)
+    if problems:
+        print("self-test: pristine metrics artifact failed validation:")
+        for p in problems:
+            print(f"  {p}")
+        return 1
+    negative = json.loads(json.dumps(pristine))
+    negative["metrics"]["counters"]["fault/trials"] = -1
+    validate_metrics(problems, "negative", negative)
+    if not problems:
+        print("self-test: corruption not detected: negative counter")
+        return 1
+    print("self-test: metrics validator detects a negative counter")
+    return 0
+
+
 def main(argv):
+    if len(argv) == 2 and argv[1] == "--self-test":
+        return self_test()
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
@@ -183,8 +262,8 @@ def main(argv):
     for p in problems:
         print(p)
     if not problems:
-        print(f"{len(argv) - 1} bench report(s) validate against "
-              f"cuttlesim-bench-v1")
+        print(f"{len(argv) - 1} file(s) validate against "
+              f"cuttlesim-bench-v1 / {METRICS_SCHEMA}")
     return 1 if problems else 0
 
 
