@@ -87,7 +87,7 @@ class Debugger
     enable_spill(const std::string& path)
     {
         spill_path_ = path;
-        spill_fp_ = replay::design_fingerprint(d_);
+        spill_fp_ = d_.fingerprint();
         std::ofstream out(path,
                           std::ios::binary | std::ios::trunc);
         if (!out)

@@ -16,6 +16,13 @@
  *    data (rule log, then cycle log), else the beginning-of-cycle value.
  *  - wr0: forbidden if either log has rd1, wr0, or wr1.
  *  - wr1: forbidden if either log has wr1.
+ *
+ * A forbidden access aborts the rule: evaluation returns false up the
+ * call chain (an early exit, as in the Cuttlesim tiers) and the rule log
+ * is discarded. The logs are dense per-register arrays, but the
+ * interpreter remembers which entries a rule and a cycle touched, so
+ * resets, merges and the commit cost what the rule did rather than the
+ * size of the design.
  */
 #pragma once
 
@@ -34,6 +41,8 @@ struct LogEntry
     bool wr1 = false;
     Bits data0;
     Bits data1;
+
+    bool empty() const { return !(rd0 || rd1 || wr0 || wr1); }
 };
 
 class ReferenceSim
@@ -102,20 +111,31 @@ class ReferenceSim
     }
 
   private:
-    struct RuleAbort {};
-
     /** Run one rule; returns true if it committed. */
     bool run_rule(int rule_index);
-    Bits eval(const Action* a);
-    Bits do_read(const Action* a);
-    void do_write(const Action* a, Bits value);
+    /** Evaluate `a` into `out`; false means the rule aborted. */
+    bool eval(const Action* a, Bits& out);
+    bool do_read(const Action* a, Bits& out);
+    bool do_write(const Action* a, Bits& value);
+    /** Enter a rule or call: the pooled frame at the next depth. */
+    std::vector<Bits>& push_frame(size_t nslots);
+    /** The innermost active frame (rule or call). */
+    std::vector<Bits>& frame() { return frames_[depth_ - 1]; }
 
     const Design& d_;
     std::vector<Bits> state_;
     std::vector<LogEntry> cycle_log_;
     std::vector<LogEntry> rule_log_;
-    /** Stack of evaluation frames (rule frame + one per active call). */
+    /** Registers whose entry in rule_log_ / cycle_log_ is not empty:
+     *  resets, merges and the commit walk only these. */
+    std::vector<int> rule_touched_;
+    std::vector<int> cycle_touched_;
+    /** Evaluation frames indexed by depth (rule frame, then one per
+     *  active call), reused across rules and cycles. */
     std::vector<std::vector<Bits>> frames_;
+    size_t depth_ = 0;
+    /** Evaluated call arguments waiting for their callee's frame. */
+    std::vector<Bits> args_;
     std::vector<bool> fired_;
     uint64_t cycles_ = 0;
     bool coverage_enabled_ = false;

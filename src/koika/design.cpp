@@ -1,5 +1,8 @@
 #include "koika/design.hpp"
 
+#include "base/sha256.hpp"
+#include "koika/print.hpp"
+
 namespace koika {
 
 const char*
@@ -57,9 +60,33 @@ action_kind_name(ActionKind kind)
     return "?";
 }
 
+const std::string&
+Design::fingerprint() const
+{
+    std::call_once(fingerprint_once_, [this] {
+        frozen_.store(true);
+        fingerprint_ = sha256_hex(print_design(*this));
+    });
+    return fingerprint_;
+}
+
+void
+Design::check_mutable(const char* what) const
+{
+    if (!frozen_.load())
+        return;
+    Diagnostic diag;
+    diag.phase = "design";
+    diag.design = name_;
+    fatal_diag(std::move(diag),
+               "cannot %s design '%s' after its fingerprint was taken",
+               what, name_.c_str());
+}
+
 int
 Design::add_register(const std::string& name, TypePtr type, Bits init)
 {
+    check_mutable("add a register to");
     if (reg_by_name_.count(name))
         fatal("duplicate register '%s'", name.c_str());
     if (init.width() != type->width)
@@ -74,6 +101,7 @@ Design::add_register(const std::string& name, TypePtr type, Bits init)
 int
 Design::add_rule(const std::string& name, Action* body)
 {
+    check_mutable("add a rule to");
     if (rule_by_name_.count(name))
         fatal("duplicate rule '%s'", name.c_str());
     int idx = (int)rules_.size();
@@ -85,6 +113,7 @@ Design::add_rule(const std::string& name, Action* body)
 void
 Design::schedule(int rule_index)
 {
+    check_mutable("schedule a rule of");
     KOIKA_CHECK(rule_index >= 0 && (size_t)rule_index < rules_.size());
     schedule_.push_back(rule_index);
 }
@@ -101,6 +130,7 @@ Design::schedule(const std::string& rule_name)
 Action*
 Design::alloc(ActionKind kind)
 {
+    check_mutable("allocate a node in");
     auto node = std::make_unique<Action>();
     node->kind = kind;
     node->id = (int)arena_.size();
@@ -112,6 +142,7 @@ Design::alloc(ActionKind kind)
 FunctionDef*
 Design::alloc_function()
 {
+    check_mutable("allocate a function in");
     functions_.push_back(std::make_unique<FunctionDef>());
     return functions_.back().get();
 }

@@ -8,8 +8,10 @@
  */
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,7 +67,12 @@ class Design
 
     const RegInfo& reg(int i) const { return regs_[(size_t)i]; }
     const Rule& rule(int i) const { return rules_[(size_t)i]; }
-    Rule& rule_mut(int i) { return rules_[(size_t)i]; }
+    Rule&
+    rule_mut(int i)
+    {
+        check_mutable("modify a rule of");
+        return rules_[(size_t)i];
+    }
     const std::vector<int>& schedule_order() const { return schedule_; }
     const std::vector<std::unique_ptr<FunctionDef>>& functions() const
     {
@@ -83,7 +90,18 @@ class Design
     /** Set by the typechecker once the whole design checks. */
     bool typechecked = false;
 
+    /**
+     * SHA-256 of the printed design (names, widths, rules, schedule),
+     * computed on first use and kept; safe to call from any thread.
+     * Taking it freezes the design: a mutator called afterwards is a
+     * diagnosed error, since the kept fingerprint would go stale.
+     */
+    const std::string& fingerprint() const;
+
   private:
+    /** Fatal error if the fingerprint has been taken. */
+    void check_mutable(const char* what) const;
+
     std::string name_;
     std::vector<RegInfo> regs_;
     std::vector<Rule> rules_;
@@ -92,6 +110,9 @@ class Design
     std::map<std::string, int> rule_by_name_;
     std::vector<std::unique_ptr<Action>> arena_;
     std::vector<std::unique_ptr<FunctionDef>> functions_;
+    mutable std::once_flag fingerprint_once_;
+    mutable std::string fingerprint_;
+    mutable std::atomic<bool> frozen_{false};
 };
 
 } // namespace koika

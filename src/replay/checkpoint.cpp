@@ -5,7 +5,6 @@
 #include "base/error.hpp"
 #include "base/io.hpp"
 #include "base/sha256.hpp"
-#include "koika/print.hpp"
 #include "obs/json.hpp"
 
 namespace koika::replay {
@@ -44,12 +43,6 @@ get_u32le(const std::string& in, size_t pos)
 
 } // namespace
 
-std::string
-design_fingerprint(const Design& design)
-{
-    return sha256_hex(print_design(design));
-}
-
 const char*
 Checkpoint::schema()
 {
@@ -62,7 +55,7 @@ Checkpoint::capture(const Design& design, const sim::Model& model)
     KOIKA_CHECK(model.num_regs() == design.num_registers());
     Checkpoint ck;
     ck.design = design.name();
-    ck.fingerprint = design_fingerprint(design);
+    ck.fingerprint = design.fingerprint();
     ck.cycle = model.cycles_run();
     ck.widths.reserve(design.num_registers());
     ck.regs.reserve(design.num_registers());
@@ -85,7 +78,7 @@ Checkpoint::restore_into(const Design& d, sim::Model& model) const
     if (design != d.name())
         reject("checkpoint is for design '" + design +
                "', not '" + d.name() + "'");
-    if (fingerprint != design_fingerprint(d))
+    if (fingerprint != d.fingerprint())
         reject("design fingerprint mismatch for '" + design +
                "': the checkpoint was taken from a different version "
                "of the design");

@@ -46,9 +46,6 @@
 
 namespace koika::replay {
 
-/** SHA-256 of the printed design: names, widths, rules, schedule. */
-std::string design_fingerprint(const Design& design);
-
 class Checkpoint
 {
   public:

@@ -847,6 +847,7 @@ class TierEngine final : public TierModel, public CheckpointableModel
     {
         p_.begin_rule(r);
         depth_ = 0;
+        args_.clear();
         push_frame((size_t)d_.rule(r).nslots);
         fail_point_ = nullptr;
         Bits scratch;
@@ -1037,20 +1038,20 @@ class TierEngine final : public TierModel, public CheckpointableModel
           }
 
           case ActionKind::kCall: {
-            // frame_pool_ may reallocate during nested calls, so index
-            // the callee frame rather than holding a reference.
-            size_t callee_idx = depth_;
-            push_frame((size_t)a->fn->nslots);
-            for (size_t i = 0; i < a->args.size(); ++i) {
-                // Arguments are pure; they evaluate in the caller frame.
-                --depth_;
+            // Arguments are pure and evaluate in the caller frame. They
+            // wait on args_ rather than in the callee's pooled frame,
+            // which a call nested inside a later argument would reuse.
+            size_t base = args_.size();
+            for (const Action* arg : a->args) {
                 Bits v;
-                bool ok = eval(a->args[i], v);
-                ++depth_;
-                if (!ok)
+                if (!eval(arg, v))
                     return false;
-                frame_pool_[callee_idx][i] = std::move(v);
+                args_.push_back(std::move(v));
             }
+            std::vector<Bits>& callee = push_frame((size_t)a->fn->nslots);
+            for (size_t i = 0; i < a->args.size(); ++i)
+                callee[i] = std::move(args_[base + i]);
+            args_.resize(base);
             bool ok = eval(a->fn->body, out);
             pop_frame();
             return ok;
@@ -1063,6 +1064,8 @@ class TierEngine final : public TierModel, public CheckpointableModel
     Policy p_;
     std::vector<std::vector<Bits>> frame_pool_;
     size_t depth_ = 0;
+    /** Evaluated call arguments waiting for their callee's frame. */
+    std::vector<Bits> args_;
     const Action* fail_point_ = nullptr;
     std::vector<bool> fired_;
     std::vector<uint64_t> commits_, aborts_;

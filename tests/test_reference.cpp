@@ -7,9 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <thread>
+
+#include "base/sha256.hpp"
+#include "harness/random_design.hpp"
 #include "interp/reference.hpp"
 #include "koika/builder.hpp"
+#include "koika/print.hpp"
 #include "koika/typecheck.hpp"
+#include "sim/tiers.hpp"
 
 using namespace koika;
 
@@ -424,4 +432,214 @@ TEST(Reference, SubstFieldUpdatesOnlyThatField)
     ReferenceSim sim(f.d);
     sim.cycle();
     EXPECT_EQ(sim.reg(p).to_u64(), 0xFF34u);
+}
+
+// -- Early exits: an aborted rule leaves nothing behind ----------------------
+
+TEST(Reference, AbortInsideCallArgumentsLeavesCleanFrames)
+{
+    // add2(a, b) = a + sq(b) calls a function from its body. "doomed"
+    // aborts while evaluating the argument of a call that is itself the
+    // second argument of another call, so both calls have pending
+    // arguments when the guard fails. "after" then makes the same nested
+    // calls and must compute from fresh frames and arguments.
+    Fixture f;
+    int flag = f.b.reg("flag", 1, 0);
+    int x = f.b.reg("x", 8, 0);
+    int y = f.b.reg("y", 8, 0);
+    FunctionDef* sq = f.b.fn("sq", {{"a", bits_type(8)}}, bits_type(8),
+                             f.b.mul(f.b.var("a"), f.b.var("a")));
+    FunctionDef* add2 = f.b.fn(
+        "add2", {{"a", bits_type(8)}, {"b", bits_type(8)}}, bits_type(8),
+        f.b.add(f.b.var("a"), f.b.call(sq, {f.b.var("b")})));
+    Action* doomed_arg =
+        f.b.seq({f.b.guard(f.b.eq(f.b.read0(flag), f.b.k(1, 1))),
+                 f.b.k(8, 3)});
+    f.d.add_rule("doomed",
+                 f.b.write0(x, f.b.call(add2, {f.b.k(8, 1),
+                                               f.b.call(sq, {doomed_arg})})));
+    f.d.add_rule("after",
+                 f.b.write0(y, f.b.call(add2, {f.b.call(sq, {f.b.k(8, 2)}),
+                                               f.b.call(sq, {f.b.k(8, 3)})})));
+    f.d.schedule("doomed");
+    f.d.schedule("after");
+    f.finish();
+    ReferenceSim sim(f.d);
+    sim.enable_coverage();
+    for (int i = 0; i < 3; ++i) {
+        sim.cycle();
+        EXPECT_FALSE(sim.fired()[0]);
+        EXPECT_TRUE(sim.fired()[1]);
+        EXPECT_EQ(sim.reg(x).to_u64(), 0u);
+        EXPECT_EQ(sim.reg(y).to_u64(), 85u); // 4 + sq(9) = 4 + 81
+    }
+    // The aborted argument stopped evaluation: its constant never ran.
+    EXPECT_EQ(sim.coverage()[(size_t)doomed_arg->id], 3u);
+    EXPECT_EQ(sim.branch_not_taken()[(size_t)doomed_arg->a0->id], 3u);
+    EXPECT_EQ(sim.coverage()[(size_t)doomed_arg->a1->id], 0u);
+
+    sim.set_reg(flag, Bits::of(1, 1));
+    sim.cycle();
+    EXPECT_TRUE(sim.fired()[0]);
+    EXPECT_TRUE(sim.fired()[1]);
+    EXPECT_EQ(sim.reg(x).to_u64(), 82u); // 1 + sq(sq(3)) = 1 + 81
+    EXPECT_EQ(sim.reg(y).to_u64(), 85u);
+}
+
+TEST(Reference, AbortedRuleLogsDoNotReachLaterRules)
+{
+    // "doomed" logs a rd1 of a, a wr0 of b and a wr1 of c, then aborts.
+    // Had any of those entries leaked into the cycle log, "after" would
+    // abort (wr0 after rd1, rd0 after wr0, wr0 after wr1) or read 5.
+    Fixture f;
+    int a = f.b.reg("a", 8, 1);
+    int b = f.b.reg("b", 8, 2);
+    int c = f.b.reg("c", 8, 3);
+    int seen = f.b.reg("seen", 8, 0);
+    int seen0 = f.b.reg("seen0", 8, 0);
+    Action* tail = f.b.write0(seen, f.b.k(8, 99));
+    f.d.add_rule("doomed", f.b.seq({f.b.write1(seen, f.b.read1(a)),
+                                    f.b.write0(b, f.b.k(8, 5)),
+                                    f.b.write1(c, f.b.k(8, 6)),
+                                    f.b.abort(), tail}));
+    f.d.add_rule("after",
+                 f.b.seq({f.b.write0(a, f.b.add(f.b.read0(a), f.b.k(8, 1))),
+                          f.b.write1(seen, f.b.read1(b)),
+                          f.b.write1(seen0, f.b.read0(b)),
+                          f.b.write0(c, f.b.add(f.b.read0(c), f.b.k(8, 1)))}));
+    f.d.schedule("doomed");
+    f.d.schedule("after");
+    f.finish();
+    ReferenceSim sim(f.d);
+    sim.enable_coverage();
+    for (uint64_t i = 1; i <= 3; ++i) {
+        sim.cycle();
+        EXPECT_FALSE(sim.fired()[0]);
+        EXPECT_TRUE(sim.fired()[1]);
+        EXPECT_EQ(sim.reg(a).to_u64(), 1 + i);
+        EXPECT_EQ(sim.reg(b).to_u64(), 2u);
+        EXPECT_EQ(sim.reg(c).to_u64(), 3 + i);
+        EXPECT_EQ(sim.reg(seen).to_u64(), 2u);
+        EXPECT_EQ(sim.reg(seen0).to_u64(), 2u);
+    }
+    // Partial coverage of the aborted rule: everything up to the abort
+    // counted once per cycle, nothing after it.
+    EXPECT_EQ(sim.coverage()[(size_t)tail->id], 0u);
+    EXPECT_EQ(sim.coverage()[(size_t)f.d.rule(0).body->id], 3u);
+}
+
+TEST(Reference, AgreesWithTiersOnConflictHeavyRandomDesigns)
+{
+    // More rules than registers, so most cycles abort several rules. The
+    // reference and T0 run a fresh random rule order every cycle; T5 only
+    // runs the design's schedule, so it pairs with a second reference
+    // instance on that order. Registers and fired sets must agree every
+    // cycle, and statement/branch counts (aborted rules' partial counts
+    // included) at the end.
+    harness::RandomDesignConfig cfg;
+    cfg.num_registers = 4;
+    cfg.num_rules = 8;
+    cfg.max_stmts_per_rule = 8;
+    cfg.wide_registers = true;
+    auto expect_same_coverage = [](const ReferenceSim& ref,
+                                   const sim::TierModel& m,
+                                   uint64_t seed) {
+        EXPECT_EQ(ref.coverage(), m.stmt_counts()) << "seed " << seed;
+        EXPECT_EQ(ref.branch_taken(), m.branch_taken_counts())
+            << "seed " << seed;
+        EXPECT_EQ(ref.branch_not_taken(), m.branch_not_taken_counts())
+            << "seed " << seed;
+    };
+    uint64_t aborts = 0;
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        auto d = harness::random_design(seed * 104729 + 7, cfg);
+        ReferenceSim ref(*d), ref_sched(*d);
+        auto t0 = sim::make_engine(*d, sim::Tier::kT0Naive);
+        auto t5 = sim::make_engine(*d, sim::Tier::kT5StaticAnalysis);
+        ref.enable_coverage();
+        ref_sched.enable_coverage();
+        t0->enable_coverage();
+        t5->enable_coverage();
+        std::mt19937_64 rng(seed);
+        std::vector<int> order(d->num_rules());
+        for (size_t i = 0; i < order.size(); ++i)
+            order[i] = (int)i;
+        for (int cyc = 0; cyc < 60; ++cyc) {
+            std::shuffle(order.begin(), order.end(), rng);
+            ref.cycle_with_order(order);
+            t0->cycle_with_order(order);
+            ref_sched.cycle_with_order(d->schedule_order());
+            t5->cycle();
+            ASSERT_EQ(ref.fired(), t0->fired())
+                << "seed " << seed << " cycle " << cyc;
+            ASSERT_EQ(ref_sched.fired(), t5->fired())
+                << "seed " << seed << " cycle " << cyc;
+            for (size_t r = 0; r < d->num_registers(); ++r) {
+                ASSERT_EQ(ref.reg((int)r), t0->get_reg((int)r))
+                    << "seed " << seed << " cycle " << cyc << " reg " << r;
+                ASSERT_EQ(ref_sched.reg((int)r), t5->get_reg((int)r))
+                    << "seed " << seed << " cycle " << cyc << " reg " << r;
+            }
+            aborts += (uint64_t)std::count(ref.fired().begin(),
+                                           ref.fired().end(), false);
+        }
+        expect_same_coverage(ref, *t0, seed);
+        expect_same_coverage(ref_sched, *t5, seed);
+    }
+    // The property is only as strong as the conflicts it saw.
+    EXPECT_GT(aborts, 40u * 60u);
+}
+
+// -- Design fingerprint ---------------------------------------------------------
+
+TEST(DesignFingerprint, MemoMatchesPrintedDesignAndFreezesIt)
+{
+    Fixture f;
+    int x = f.b.reg("x", 8, 0);
+    f.d.add_rule("inc", f.b.write0(x, f.b.add(f.b.read0(x), f.b.k(8, 1))));
+    f.d.schedule("inc");
+    f.finish();
+    std::string printed = sha256_hex(print_design(f.d));
+
+    const std::string& fp = f.d.fingerprint();
+    EXPECT_EQ(fp, printed);
+    EXPECT_EQ(&fp, &f.d.fingerprint()); // computed once, then kept
+
+    EXPECT_THROW(f.d.add_register("y", bits_type(8), Bits::of(8, 0)),
+                 FatalError);
+    EXPECT_THROW(f.d.add_rule("more", f.d.rule(0).body), FatalError);
+    EXPECT_THROW(f.d.schedule("inc"), FatalError);
+    EXPECT_THROW(f.d.schedule(0), FatalError);
+    EXPECT_THROW(f.d.alloc(ActionKind::kConst), FatalError);
+    EXPECT_THROW(f.d.alloc_function(), FatalError);
+    EXPECT_THROW(f.d.rule_mut(0), FatalError);
+    try {
+        f.d.schedule(0);
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("fingerprint was taken"),
+                  std::string::npos);
+        EXPECT_EQ(e.diagnostic().design, "t");
+    }
+    // The rejected mutations left the design, and so the memo, as it was.
+    EXPECT_EQ(sha256_hex(print_design(f.d)), printed);
+    EXPECT_EQ(f.d.num_rules(), 1u);
+    EXPECT_EQ(f.d.schedule_order().size(), 1u);
+}
+
+TEST(DesignFingerprint, ConcurrentFirstUseComputesOnce)
+{
+    Fixture f;
+    int x = f.b.reg("x", 8, 0);
+    f.d.add_rule("inc", f.b.write0(x, f.b.add(f.b.read0(x), f.b.k(8, 1))));
+    f.d.schedule("inc");
+    f.finish();
+    std::vector<const std::string*> seen(4, nullptr);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < seen.size(); ++i)
+        threads.emplace_back([&, i] { seen[i] = &f.d.fingerprint(); });
+    for (auto& t : threads)
+        t.join();
+    for (const std::string* p : seen)
+        EXPECT_EQ(p, seen[0]);
+    EXPECT_EQ(*seen[0], sha256_hex(print_design(f.d)));
 }

@@ -110,7 +110,7 @@ TEST(Checkpoint, SectionsSurviveSerialization)
     ck.set_section("env", w.take());
 
     Checkpoint back = Checkpoint::deserialize(ck.serialize());
-    EXPECT_EQ(back.fingerprint, replay::design_fingerprint(*d));
+    EXPECT_EQ(back.fingerprint, d->fingerprint());
     EXPECT_EQ(back.widths, ck.widths);
     EXPECT_EQ(back.regs, ck.regs);
     ASSERT_NE(back.section("engine:tier-v1"), nullptr);
@@ -405,7 +405,9 @@ TEST(StateCodec, PrimitivesRoundtripAndShortReadsFail)
     EXPECT_TRUE(r.done());
 
     // Reading past the end is corruption, reported as such.
-    sim::StateReader short_r(bytes.substr(0, 6));
+    // StateReader keeps a reference, so the truncated copy must outlive it.
+    std::string head = bytes.substr(0, 6);
+    sim::StateReader short_r(head);
     short_r.get_u32();
     EXPECT_THROW(short_r.get_u64(), FatalError);
 }

@@ -147,6 +147,28 @@ TEST_P(TierSemantics, FailedRuleRollsBackRd1Marks)
     EXPECT_EQ(e->get_reg(y).to_u64(), 9u);
 }
 
+TEST_P(TierSemantics, CallInLaterArgumentKeepsEarlierArguments)
+{
+    // sub2(10, sq(2)): the nested call runs after argument 0 has been
+    // evaluated and must not overwrite it (10 - 4, not 2 - 4).
+    Design d("t");
+    Builder b(d);
+    int y = b.reg("y", 8, 0);
+    FunctionDef* sq = b.fn("sq", {{"a", bits_type(8)}}, bits_type(8),
+                           b.mul(b.var("a"), b.var("a")));
+    FunctionDef* sub2 =
+        b.fn("sub2", {{"a", bits_type(8)}, {"b", bits_type(8)}},
+             bits_type(8), b.sub(b.var("a"), b.var("b")));
+    d.add_rule("r", b.write0(y, b.call(sub2, {b.k(8, 10),
+                                              b.call(sq, {b.k(8, 2)})})));
+    d.schedule("r");
+    typecheck(d);
+    auto e = engine(d);
+    e->cycle();
+    EXPECT_EQ(e->get_reg(y).to_u64(), 6u);
+    expect_all_tiers_match(d, 3);
+}
+
 TEST_P(TierSemantics, SetRegBetweenCyclesVisible)
 {
     Design d("t");
