@@ -811,25 +811,20 @@ simulate_compiled(const koika::Design& design, uint64_t cycles,
 }
 
 /**
- * Capture the full simulation state between cycles: committed
- * registers and engine counters (Checkpoint::capture), peripheral
- * state ("env"), coverage-collector accumulators ("coverage"), and the
+ * Capture the full simulation state between cycles: the system
+ * (Checkpoint::capture: committed registers, engine counters and
+ * peripherals), coverage-collector accumulators ("coverage"), and the
  * metrics registry ("metrics"). Everything a byte-identical resume
  * needs.
  */
 koika::replay::Checkpoint
 capture_system(const koika::Design& design,
-               const koika::fault::FaultTarget& target,
+               const koika::replay::Subject& target,
                const koika::obs::CoverageCollector* cov,
                const koika::obs::MetricsRegistry& metrics)
 {
     koika::replay::Checkpoint ck =
-        koika::replay::Checkpoint::capture(design, *target.model);
-    if (target.save_env) {
-        koika::sim::StateWriter w;
-        target.save_env(w);
-        ck.set_section("env", w.take());
-    }
+        koika::replay::Checkpoint::capture(design, target);
     if (cov != nullptr) {
         koika::sim::StateWriter w;
         cov->save_state(w);
@@ -849,8 +844,7 @@ simulate(const koika::Design& design, const std::string& engine,
     // designs run the primes program out of magic memories, closed
     // designs run bare.
     koika::obs::ProfScope setup_span("sim/setup");
-    koika::fault::FaultTarget target =
-        make_target_factory(design, engine)();
+    koika::replay::Subject target = make_target_factory(design, engine)();
     koika::sim::Model& model = *target.model;
     auto* rs = dynamic_cast<koika::sim::RuleStatsModel*>(&model);
 
@@ -862,16 +856,11 @@ simulate(const koika::Design& design, const std::string& engine,
     if (!out.restore.empty()) {
         restored = std::make_unique<koika::replay::Checkpoint>(
             koika::replay::Checkpoint::load(out.restore));
-        if (!restored->restore_into(design, model))
+        if (!restored->restore_into(design, target))
             std::cerr << "cuttlec: warning: checkpoint engine state "
                          "was captured by a different engine family; "
                          "registers restored, counters restart at "
                          "zero\n";
-        if (const std::string* env = restored->section("env")) {
-            KOIKA_CHECK(target.load_env != nullptr);
-            koika::sim::StateReader r(*env);
-            target.load_env(r);
-        }
         start = restored->cycle;
     }
     uint64_t end = out.run_to != 0 ? out.run_to : start + cycles;
@@ -1056,26 +1045,10 @@ bisect_divergence_cmd(const koika::Design& design,
         };
     }
 
-    auto subject_factory = [&design](const std::string& engine) {
-        koika::fault::TargetFactory tf =
-            make_target_factory(design, engine);
-        return [tf]() {
-            koika::fault::FaultTarget t = tf();
-            koika::replay::Subject s;
-            s.model = std::move(t.model);
-            s.stimulus = t.stimulus;
-            s.save_env = t.save_env;
-            s.load_env = t.load_env;
-            s.context = t.context;
-            return s;
-        };
-    };
-
     koika::replay::DivergenceReport rep =
-        koika::replay::bisect_divergence(design,
-                                         subject_factory(engine_a),
-                                         subject_factory(engine_b),
-                                         config);
+        koika::replay::bisect_divergence(
+            design, make_target_factory(design, engine_a),
+            make_target_factory(design, engine_b), config);
     rep.engine_a = engine_label(engine_a);
     rep.engine_b = engine_label(engine_b);
 

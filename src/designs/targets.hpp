@@ -20,7 +20,7 @@
 #include <string>
 
 #include "codegen/dlmodel.hpp"
-#include "fault/fault.hpp"
+#include "replay/checkpoint.hpp"
 #include "koika/design.hpp"
 #include "sim/model.hpp"
 #include "sim/tiers.hpp"
@@ -56,7 +56,7 @@ std::string engine_label(const std::string& engine);
  * (design, engine) produce targets that simulate byte-identically, so
  * every pool worker's TrialContext starts from the same state.
  */
-fault::TargetFactory
+replay::SubjectFactory
 make_target_factory(const Design& design, const std::string& engine,
                     const codegen::DlModelOptions& dlopts = {});
 

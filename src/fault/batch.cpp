@@ -14,11 +14,11 @@
  *     computed once and reused by every lane's detection/divergence
  *     scan;
  *   - each lane forks from the golden's live state at its injection
- *     boundary: registers through get_reg/set_reg, engine counters and
- *     coverage arrays through sim::CheckpointableModel, peripherals
- *     through the target's save_env/load_env, and toggle accumulators
- *     through obs::CoverageCollector::save_state — so pre-injection
- *     cycles are never re-simulated;
+ *     boundary: one replay::Checkpoint captured from the golden and
+ *     restored into the lane (registers, engine counters and coverage
+ *     arrays, peripherals), plus the toggle accumulators through
+ *     obs::CoverageCollector::save_state — so pre-injection cycles are
+ *     never re-simulated;
  *   - lanes that finish early (the engine faulted on corrupted state)
  *     are masked out GPU-warp style and skipped for the rest of the
  *     batch.
@@ -28,8 +28,10 @@
  * suffix (C/2 on average over a uniform fault list). That bound is not
  * yet a measured speedup: a bench_batch smoke-mode run (12 trials x
  * 150 cycles, 1-core host) recorded speedup_vs_scalar 1.04 batched
- * and 1.15 batched + jobs, with lane
- * forking (batch/pack) taking most of the batch time. The records and
+ * and 1.15 batched + jobs. Stepping, not forking, takes most of the
+ * batch time: on a compiled rv32i campaign with coverage (400 trials,
+ * --batch=8, 4-vCPU host) batch/step took 83-85% of it, batch/pack
+ * 12-14% and batch/unpack 3%. The records and
  * coverage maps are byte-identical to run_injection's at any lane
  * count: the per-cycle order of events (advance, detection scan,
  * divergence scan, inject/re-force at the boundary) is exactly
@@ -93,8 +95,6 @@ run_injection_batch_in(const Design& design, TrialContext& ctx,
     // built on the worker's first batch, restored in place afterwards.
     FaultTarget& golden = ctx.golden();
     auto* gstats = dynamic_cast<sim::RuleStatsModel*>(golden.model.get());
-    auto* gckpt =
-        dynamic_cast<sim::CheckpointableModel*>(golden.model.get());
     // Forking needs the engine's auxiliary state (counters, coverage
     // arrays) and the peripherals' state to be serializable; a target
     // with live peripherals (context) but no env hooks cannot move
@@ -146,32 +146,19 @@ run_injection_batch_in(const Design& design, TrialContext& ctx,
     // faulted run holds at the same boundary: identical registers,
     // identical counters/coverage (identical fault-free history), and
     // identical peripherals.
+    // Reassigned per fork rather than rebuilt: the previous snapshot's
+    // buffers are freed only after the new ones exist, so the allocator
+    // reuses them instead of trimming the heap and faulting it back in
+    // on every fork (without it, batch/pack of a compiled rv32i
+    // campaign with coverage took ~40% longer).
+    replay::Checkpoint snapshot;
     auto fork_lane = [&](Lane& lane) {
-        // No restore: every field copied below overwrites the spare's
-        // full state (registers, extra state, env, collector).
+        // No pristine restore: the golden's checkpoint and collector
+        // state overwrite the spare's full state.
         lane.target = ctx.acquire_unrestored();
         lane.live = true;
-        for (size_t r = 0; r < nregs; ++r)
-            lane.target.model->set_reg(
-                (int)r, golden.model->get_reg((int)r));
-        auto* lckpt = dynamic_cast<sim::CheckpointableModel*>(
-            lane.target.model.get());
-        KOIKA_CHECK(lckpt != nullptr &&
-                    lckpt->state_key() == gckpt->state_key());
-        {
-            sim::StateWriter w;
-            gckpt->save_extra_state(w);
-            std::string bytes = w.take();
-            sim::StateReader r(bytes);
-            lckpt->load_extra_state(r);
-        }
-        if (golden.save_env != nullptr) {
-            sim::StateWriter w;
-            golden.save_env(w);
-            std::string bytes = w.take();
-            sim::StateReader r(bytes);
-            lane.target.load_env(r);
-        }
+        snapshot = replay::Checkpoint::capture(design, golden);
+        KOIKA_CHECK(snapshot.restore_into(design, lane.target));
         if (coverage != nullptr) {
             // After the model restore: the collector's constructor
             // re-snapshots register state for toggle detection.
@@ -410,7 +397,7 @@ run_injection_batch(const Design& design, const TargetFactory& factory,
                     uint64_t cycles, InjectionRecord* records,
                     obs::CoverageMap* coverage)
 {
-    TrialContext context(factory);
+    TrialContext context(design, factory);
     run_injection_batch(design, context, specs, count, cycles, records,
                         coverage);
 }

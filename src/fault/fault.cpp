@@ -263,8 +263,9 @@ generate_faults(const Design& design, const CampaignConfig& config)
 
 // -- TrialContext ------------------------------------------------------------
 
-TrialContext::TrialContext(const TargetFactory& factory)
-    : factory_(factory)
+TrialContext::TrialContext(const Design& design,
+                           const TargetFactory& factory)
+    : design_(design), factory_(factory)
 {
     // The per-worker golden build (and snapshot) is still setup work —
     // it just happens once per worker now instead of once per trial.
@@ -272,49 +273,24 @@ TrialContext::TrialContext(const TargetFactory& factory)
     golden_ = factory_();
     golden_live_ = true;
     ++rebuilds_;
-    auto* ckpt =
-        dynamic_cast<sim::CheckpointableModel*>(golden_.model.get());
     // Same condition as batch.cpp's forkable: the engine's auxiliary
     // state must be serializable, and peripherals must either be
     // serializable too or absent entirely.
+    bool checkpointable = dynamic_cast<sim::CheckpointableModel*>(
+                              golden_.model.get()) != nullptr;
     bool env_ok = (golden_.save_env != nullptr) ==
                   (golden_.load_env != nullptr);
-    warm_ = ckpt != nullptr && env_ok &&
+    warm_ = checkpointable && env_ok &&
             (golden_.save_env != nullptr || golden_.context == nullptr);
-    if (!warm_)
-        return;
-
     // Pristine cycle-0 snapshot, captured before the golden ever steps.
-    size_t nregs = golden_.model->num_regs();
-    regs0_.reserve(nregs);
-    for (size_t r = 0; r < nregs; ++r)
-        regs0_.push_back(golden_.model->get_reg((int)r));
-    state_key0_ = ckpt->state_key();
-    sim::StateWriter w;
-    ckpt->save_extra_state(w);
-    extra0_ = w.take();
-    has_env_ = golden_.save_env != nullptr;
-    if (has_env_) {
-        sim::StateWriter we;
-        golden_.save_env(we);
-        env0_ = we.take();
-    }
+    if (warm_)
+        pristine_ = replay::Checkpoint::capture(design_, golden_);
 }
 
 void
 TrialContext::restore(FaultTarget& target)
 {
-    for (size_t r = 0; r < regs0_.size(); ++r)
-        target.model->set_reg((int)r, regs0_[r]);
-    auto* ckpt =
-        dynamic_cast<sim::CheckpointableModel*>(target.model.get());
-    KOIKA_CHECK(ckpt != nullptr && ckpt->state_key() == state_key0_);
-    sim::StateReader extra(extra0_);
-    ckpt->load_extra_state(extra);
-    if (has_env_) {
-        sim::StateReader env(env0_);
-        target.load_env(env);
-    }
+    KOIKA_CHECK(pristine_.restore_into(design_, target));
     ++restores_;
 }
 
@@ -382,7 +358,7 @@ run_injection(const Design& design, const TargetFactory& factory,
               const FaultSpec& spec, uint64_t cycles,
               obs::CoverageMap* coverage)
 {
-    TrialContext context(factory);
+    TrialContext context(design, factory);
     return run_injection(design, context, spec, cycles, coverage);
 }
 
@@ -444,7 +420,6 @@ run_injection_in(const Design& design, TrialContext& ctx,
 
     bool injected = false;
     bool engine_fault = false;
-    size_t nregs = design.num_registers();
     for (uint64_t c = 0; c < cycles; ++c) {
         golden.model->cycle();
         if (golden.stimulus)
@@ -514,14 +489,11 @@ run_injection_in(const Design& design, TrialContext& ctx,
         // Divergence scan before (re-)forcing, so it measures what the
         // fault propagated into, not the forced bit itself.
         if (injected && !rec.diverged) {
-            for (size_t r = 0; r < nregs; ++r) {
-                if (faulted.model->get_reg((int)r) !=
-                    golden.model->get_reg((int)r)) {
-                    rec.diverged = true;
-                    rec.first_divergence_cycle = c;
-                    rec.first_divergence_reg = (int)r;
-                    break;
-                }
+            int r = sim::first_difference(*faulted.model, *golden.model);
+            if (r >= 0) {
+                rec.diverged = true;
+                rec.first_divergence_cycle = c;
+                rec.first_divergence_reg = r;
             }
         }
 
@@ -540,18 +512,12 @@ run_injection_in(const Design& design, TrialContext& ctx,
     }
 
     if (!engine_fault) {
-        rec.final_state_matches = true;
-        for (size_t r = 0; r < nregs; ++r) {
-            if (faulted.model->get_reg((int)r) !=
-                golden.model->get_reg((int)r)) {
-                rec.final_state_matches = false;
-                if (!rec.diverged) {
-                    rec.diverged = true;
-                    rec.first_divergence_cycle = cycles;
-                    rec.first_divergence_reg = (int)r;
-                }
-                break;
-            }
+        int r = sim::first_difference(*faulted.model, *golden.model);
+        rec.final_state_matches = r < 0;
+        if (r >= 0 && !rec.diverged) {
+            rec.diverged = true;
+            rec.first_divergence_cycle = cycles;
+            rec.first_divergence_reg = r;
         }
     }
 
@@ -596,8 +562,8 @@ namespace {
  *  ends (harness::WorkerContext lifetime contract). */
 struct TrialWorkerContext final : harness::WorkerContext
 {
-    explicit TrialWorkerContext(const TargetFactory& factory)
-        : trial(factory)
+    TrialWorkerContext(const Design& design, const TargetFactory& factory)
+        : trial(design, factory)
     {
     }
 
@@ -605,10 +571,11 @@ struct TrialWorkerContext final : harness::WorkerContext
 };
 
 harness::ContextFactory
-trial_context_factory(const TargetFactory& factory)
+trial_context_factory(const Design& design, const TargetFactory& factory)
 {
-    return [&factory](int) -> std::unique_ptr<harness::WorkerContext> {
-        return std::make_unique<TrialWorkerContext>(factory);
+    return [&design,
+            &factory](int) -> std::unique_ptr<harness::WorkerContext> {
+        return std::make_unique<TrialWorkerContext>(design, factory);
     };
 }
 
@@ -646,7 +613,7 @@ run_injection_range(const Design& design, const TargetFactory& factory,
     };
     harness::parallel_for_groups_ctx((uint64_t)count,
                                      (uint64_t)std::max(batch, 1), jobs,
-                                     trial_context_factory(factory),
+                                     trial_context_factory(design, factory),
                                      run_group);
     return !interrupted.load();
 }

@@ -35,8 +35,8 @@
 #include "obs/coverage.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "replay/checkpoint.hpp"
 #include "sim/model.hpp"
-#include "sim/state.hpp"
 
 namespace koika::fault {
 
@@ -110,28 +110,12 @@ struct InjectionRecord
 };
 
 /**
- * One fresh instance of the system under test: the model plus whatever
- * per-instance peripherals drive it. The stimulus (may be null) runs
- * after every cycle, exactly like the lockstep harness's. `context`
- * keeps peripheral objects alive for the model's lifetime.
- *
- * save_env/load_env (may be null) serialize the peripherals' own state
- * — RAM contents, pending responses — so a checkpointed run resumes
- * byte-identically (the "env" section of a cuttlesim-ckpt-v1 file).
- * load_env runs on a freshly built target, so save and load must agree
- * on peripheral order and layout.
+ * The system under test: the model, its stimulus and its peripherals,
+ * defined once as replay::Subject (replay/checkpoint.hpp) so that fault
+ * trials, bisect and cuttlec snapshot it through one path.
  */
-struct FaultTarget
-{
-    std::unique_ptr<sim::Model> model;
-    std::function<void(sim::Model&, uint64_t)> stimulus;
-    std::function<void(sim::StateWriter&)> save_env;
-    std::function<void(sim::StateReader&)> load_env;
-    std::shared_ptr<void> context;
-};
-
-/** Builds a fresh, identically-initialized target per run. */
-using TargetFactory = std::function<FaultTarget()>;
+using FaultTarget = replay::Subject;
+using TargetFactory = replay::SubjectFactory;
 
 /**
  * Reusable per-worker trial state: the fix for flat parallel scaling.
@@ -139,10 +123,10 @@ using TargetFactory = std::function<FaultTarget()>;
  * target, and historically built BOTH from the factory for every
  * injection — so `trial/setup` grew with the trial count and jobs=hw
  * barely beat jobs=1. A TrialContext makes that a per-worker cost: it
- * builds the golden once, captures a pristine cycle-0 checkpoint
- * (registers via get_reg, engine counters via sim::CheckpointableModel,
- * peripherals via the target's save_env), and every later trial
- * *restores* that snapshot in place instead of reconstructing.
+ * builds the golden once, captures a pristine cycle-0
+ * replay::Checkpoint of it (registers, engine counters, peripherals),
+ * and every later trial *restores* that snapshot in place instead of
+ * reconstructing.
  *
  * Warmth requires exactly what batched lane-forking requires (the
  * batch.cpp forkable condition): a checkpointable model and either
@@ -164,7 +148,7 @@ using TargetFactory = std::function<FaultTarget()>;
 class TrialContext
 {
   public:
-    explicit TrialContext(const TargetFactory& factory);
+    TrialContext(const Design& design, const TargetFactory& factory);
 
     TrialContext(const TrialContext&) = delete;
     TrialContext& operator=(const TrialContext&) = delete;
@@ -214,18 +198,15 @@ class TrialContext
   private:
     void restore(FaultTarget& target);
 
+    const Design& design_;
     TargetFactory factory_;
     FaultTarget golden_;
     bool golden_live_ = false;
     /** Golden handed out since its last restore (state may have moved). */
     bool golden_dirty_ = false;
     bool warm_ = false;
-    bool has_env_ = false;
     /** Pristine cycle-0 snapshot (valid when warm_). */
-    std::vector<Bits> regs0_;
-    std::string state_key0_;
-    std::string extra0_;
-    std::string env0_;
+    replay::Checkpoint pristine_;
     /** Healthy retired targets awaiting restore-and-reuse. */
     std::vector<FaultTarget> spares_;
     uint64_t restores_ = 0;

@@ -232,34 +232,6 @@ parallel_for(uint64_t n, int jobs,
 }
 
 void
-parallel_for_metrics(
-    uint64_t n, int jobs, obs::MetricsRegistry& merged,
-    const std::function<void(uint64_t, obs::MetricsRegistry&)>& fn)
-{
-    ThreadPool pool(jobs);
-    std::vector<obs::MetricsRegistry> shards((size_t)pool.jobs());
-    // run() captures per-item failures and rethrows the lowest-indexed
-    // one after every item has executed — but the shards hold the
-    // counters of everything that DID finish. Merge before rethrowing
-    // so a failed campaign still reports accurate trial/* metrics.
-    std::exception_ptr failure;
-    try {
-        pool.run(n, [&fn, &shards](uint64_t item, int worker) {
-            fn(item, shards[(size_t)worker]);
-        });
-    } catch (...) {
-        failure = std::current_exception();
-    }
-    {
-        obs::ProfScope span("pool/merge");
-        for (const obs::MetricsRegistry& shard : shards)
-            merged.merge_from(shard);
-    }
-    if (failure != nullptr)
-        std::rethrow_exception(failure);
-}
-
-void
 parallel_for_groups_ctx(
     uint64_t n, uint64_t group, int jobs, const ContextFactory& make,
     const std::function<void(uint64_t, uint64_t, WorkerContext*)>& fn)

@@ -14,10 +14,6 @@
  *     thread computes an item never depends on timing.
  *   - Results are owned per item (the caller indexes a pre-sized
  *     vector), so the assembled output is identical to a serial run.
- *   - Observability is per worker: each worker fills a private
- *     obs::MetricsRegistry and the shards are merged in worker order at
- *     join (obs::MetricsRegistry::merge_from), so merged metrics are
- *     byte-identical no matter how threads interleave.
  *   - Stochastic work derives per-item seeds from one base seed
  *     (derive_seed, a splitmix64 step), so results are independent of
  *     the job count — `--jobs=8` replays `--jobs=1` exactly.
@@ -31,8 +27,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-
-#include "obs/metrics.hpp"
 
 namespace koika::harness {
 
@@ -131,19 +125,6 @@ class ThreadPool
  */
 void parallel_for(uint64_t n, int jobs,
                   const std::function<void(uint64_t item)>& fn);
-
-/**
- * Sharded loop with per-worker metrics: fn(i, registry) writes into its
- * worker's private registry; at join the shards are folded into
- * `merged` in worker order (deterministic merge). If items threw, the
- * completed shards are still merged before the lowest-indexed failure
- * is rethrown, so a failed campaign reports accurate counters for the
- * work that did finish.
- */
-void parallel_for_metrics(
-    uint64_t n, int jobs, obs::MetricsRegistry& merged,
-    const std::function<void(uint64_t item, obs::MetricsRegistry& metrics)>&
-        fn);
 
 /**
  * Sharded loop over contiguous groups with per-worker contexts: items

@@ -20,44 +20,6 @@ run_boundary(Subject& s, uint64_t c,
         perturb(*s.model, c + 1);
 }
 
-Checkpoint
-capture_full(const Design& design, const Subject& s)
-{
-    Checkpoint ck = Checkpoint::capture(design, *s.model);
-    if (s.save_env) {
-        sim::StateWriter w;
-        s.save_env(w);
-        ck.set_section("env", w.take());
-    }
-    return ck;
-}
-
-void
-restore_full(const Design& design, Subject& s, const Checkpoint& ck)
-{
-    ck.restore_into(design, *s.model);
-    if (s.load_env) {
-        const std::string* env = ck.section("env");
-        KOIKA_CHECK(env != nullptr);
-        sim::StateReader r(*env);
-        s.load_env(r);
-    }
-}
-
-bool
-states_equal(const Subject& a, const Subject& b, size_t nregs,
-             int* first_reg)
-{
-    for (size_t r = 0; r < nregs; ++r) {
-        if (a.model->get_reg((int)r) != b.model->get_reg((int)r)) {
-            if (first_reg != nullptr)
-                *first_reg = (int)r;
-            return false;
-        }
-    }
-    return true;
-}
-
 std::vector<std::string>
 fired_names(const sim::Model& m)
 {
@@ -92,8 +54,8 @@ bisect_divergence(const Design& design, const SubjectFactory& make_a,
     Subject b = make_b();
     KOIKA_CHECK(a.model->num_regs() == nregs &&
                 b.model->num_regs() == nregs);
-    Checkpoint ck_a = capture_full(design, a);
-    Checkpoint ck_b = capture_full(design, b);
+    Checkpoint ck_a = Checkpoint::capture(design, a);
+    Checkpoint ck_b = Checkpoint::capture(design, b);
     rep.checkpoints += 2;
     uint64_t lo = 0, hi = 0;
     bool bracketed = false;
@@ -104,13 +66,13 @@ bisect_divergence(const Design& design, const SubjectFactory& make_a,
         if (done % stride != 0 && done != config.horizon)
             continue;
         ++rep.state_compares;
-        if (!states_equal(a, b, nregs, nullptr)) {
+        if (sim::first_difference(*a.model, *b.model) >= 0) {
             hi = done;
             bracketed = true;
             break;
         }
-        ck_a = capture_full(design, a);
-        ck_b = capture_full(design, b);
+        ck_a = Checkpoint::capture(design, a);
+        ck_b = Checkpoint::capture(design, b);
         rep.checkpoints += 2;
         lo = done;
     }
@@ -123,17 +85,17 @@ bisect_divergence(const Design& design, const SubjectFactory& make_a,
         uint64_t mid = lo + (hi - lo) / 2;
         Subject pa = make_a();
         Subject pb = make_b();
-        restore_full(design, pa, ck_a);
-        restore_full(design, pb, ck_b);
+        ck_a.restore_into(design, pa);
+        ck_b.restore_into(design, pb);
         for (uint64_t c = lo; c < mid; ++c) {
             run_boundary(pa, c, nullptr);
             run_boundary(pb, c, config.perturb_b);
         }
         rep.replayed_cycles += 2 * (mid - lo);
         ++rep.state_compares;
-        if (states_equal(pa, pb, nregs, nullptr)) {
-            ck_a = capture_full(design, pa);
-            ck_b = capture_full(design, pb);
+        if (sim::first_difference(*pa.model, *pb.model) < 0) {
+            ck_a = Checkpoint::capture(design, pa);
+            ck_b = Checkpoint::capture(design, pb);
             rep.checkpoints += 2;
             lo = mid;
         } else {
@@ -145,17 +107,16 @@ bisect_divergence(const Design& design, const SubjectFactory& make_a,
     // first disagreeing register and both firing sets.
     Subject fa = make_a();
     Subject fb = make_b();
-    restore_full(design, fa, ck_a);
-    restore_full(design, fb, ck_b);
+    ck_a.restore_into(design, fa);
+    ck_b.restore_into(design, fb);
     for (uint64_t c = lo; c < hi; ++c) {
         run_boundary(fa, c, nullptr);
         run_boundary(fb, c, config.perturb_b);
     }
     rep.replayed_cycles += 2 * (hi - lo);
-    int first_reg = -1;
     ++rep.state_compares;
-    bool equal = states_equal(fa, fb, nregs, &first_reg);
-    KOIKA_CHECK(!equal);
+    int first_reg = sim::first_difference(*fa.model, *fb.model);
+    KOIKA_CHECK(first_reg >= 0);
     rep.diverged = true;
     rep.cycle = hi;
     rep.reg = first_reg;

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,26 +28,6 @@
 #include "sim/model.hpp"
 
 namespace koika::replay {
-
-/**
- * One replayable system under test: the model plus the external
- * environment driving it. `stimulus` runs after every cycle (0-based
- * cycle index, the lockstep/fault convention). `save_env`/`load_env`
- * serialize peripheral state (RAM contents, pending responses) so a
- * restored subject replays byte-identically; both may be null for
- * closed designs. `context` keeps peripherals alive.
- */
-struct Subject
-{
-    std::unique_ptr<sim::Model> model;
-    std::function<void(sim::Model&, uint64_t)> stimulus;
-    std::function<void(sim::StateWriter&)> save_env;
-    std::function<void(sim::StateReader&)> load_env;
-    std::shared_ptr<void> context;
-};
-
-/** Builds a fresh, identically-initialized subject per call. */
-using SubjectFactory = std::function<Subject()>;
 
 struct BisectConfig
 {

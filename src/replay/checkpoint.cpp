@@ -72,6 +72,18 @@ Checkpoint::capture(const Design& design, const sim::Model& model)
     return ck;
 }
 
+Checkpoint
+Checkpoint::capture(const Design& design, const Subject& system)
+{
+    Checkpoint ck = capture(design, *system.model);
+    if (system.save_env) {
+        sim::StateWriter w;
+        system.save_env(w);
+        ck.set_section("env", w.take());
+    }
+    return ck;
+}
+
 bool
 Checkpoint::restore_into(const Design& d, sim::Model& model) const
 {
@@ -100,6 +112,25 @@ Checkpoint::restore_into(const Design& d, sim::Model& model) const
         }
     }
     return false;
+}
+
+bool
+Checkpoint::restore_into(const Design& d, Subject& system) const
+{
+    const std::string* env = section("env");
+    if (env != nullptr && !system.load_env)
+        reject("section 'env' holds peripheral state, but this '" +
+               d.name() + "' system has no peripherals to load it into");
+    if (env == nullptr && system.load_env)
+        reject("section 'env' is missing, but this '" + d.name() +
+               "' system has peripherals; resuming would run them "
+               "from their initial state");
+    bool engine = restore_into(d, *system.model);
+    if (env != nullptr) {
+        sim::StateReader r(*env);
+        system.load_env(r);
+    }
+    return engine;
 }
 
 const std::string*
@@ -243,6 +274,8 @@ Checkpoint::deserialize(const std::string& bytes)
         if (!name || !size)
             reject("malformed section directory entry");
         uint64_t n = size->as_u64();
+        if (ck.section(name->as_string()) != nullptr)
+            reject("duplicate section '" + name->as_string() + "'");
         if (pos + n > body.size())
             reject("section '" + name->as_string() +
                    "' extends past end of file");

@@ -14,9 +14,14 @@
  *     engine's auxiliary state (cycle counter, rule commit/abort
  *     tallies, coverage arrays) when the engine implements
  *     sim::CheckpointableModel.
+ *   - The system-level overloads snapshot a whole Subject: the model
+ *     plus its peripherals' RAM and pending responses (section "env").
+ *     They are the one capture/restore path of the repository: fault
+ *     trial restores, batch lane forks, bisect replays and cuttlec's
+ *     --checkpoint/--restore all go through them.
  *   - Named sections carry whatever else a byte-identical resume
- *     needs: peripheral RAM and pending responses ("env"), coverage
- *     collector toggles ("coverage"), a metrics registry ("metrics").
+ *     needs: coverage collector toggles ("coverage"), a metrics
+ *     registry ("metrics").
  *   - save()/load() persist the cuttlesim-ckpt-v1 binary format:
  *     a "CKPT" magic and format version, a JSON descriptor (design
  *     name, SHA-256 design fingerprint, cycle count, register widths,
@@ -35,6 +40,8 @@
  */
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,6 +52,28 @@
 #include "sim/state.hpp"
 
 namespace koika::replay {
+
+/**
+ * One system under test: the model plus the external environment
+ * driving it. `stimulus` (may be null) runs after every cycle (0-based
+ * cycle index, the lockstep/fault convention). `save_env`/`load_env`
+ * serialize peripheral state (RAM contents, pending responses) so a
+ * restored system replays byte-identically; both are null for closed
+ * designs, and load_env runs on a freshly built system, so save and
+ * load must agree on peripheral order and layout. `context` keeps the
+ * peripherals alive for the model's lifetime.
+ */
+struct Subject
+{
+    std::unique_ptr<sim::Model> model;
+    std::function<void(sim::Model&, uint64_t)> stimulus;
+    std::function<void(sim::StateWriter&)> save_env;
+    std::function<void(sim::StateReader&)> load_env;
+    std::shared_ptr<void> context;
+};
+
+/** Builds a fresh, identically-initialized subject per call. */
+using SubjectFactory = std::function<Subject()>;
 
 class Checkpoint
 {
@@ -76,6 +105,10 @@ class Checkpoint
      */
     static Checkpoint capture(const Design& design,
                               const sim::Model& model);
+    /** capture(design, *system.model) plus the peripherals' state
+     *  (save_env) under section "env". */
+    static Checkpoint capture(const Design& design,
+                              const Subject& system);
 
     /**
      * Restore into `model`: validates that the checkpoint was taken
@@ -88,6 +121,15 @@ class Checkpoint
      * restart from zero. FatalError on any mismatch with the design.
      */
     bool restore_into(const Design& design, sim::Model& model) const;
+    /**
+     * restore_into(design, *system.model) plus the "env" section
+     * through load_env. FatalError (phase "checkpoint"), before any
+     * state is touched, when the checkpoint carries an env section the
+     * system cannot load, or the system has peripherals (load_env) but
+     * the checkpoint carries no env: either way the resumed run would
+     * not be the captured one.
+     */
+    bool restore_into(const Design& design, Subject& system) const;
 
     /** Section payload by name; nullptr when absent. */
     const std::string* section(const std::string& name) const;
@@ -98,7 +140,8 @@ class Checkpoint
     std::string serialize() const;
     /**
      * Parse and fully validate a byte string: magic, version, trailing
-     * checksum, descriptor shape, payload sizes. FatalError with a
+     * checksum, descriptor shape, payload sizes, unique section names.
+     * FatalError with a
      * Diagnostic (phase "checkpoint") on any corruption.
      */
     static Checkpoint deserialize(const std::string& bytes);

@@ -85,6 +85,20 @@ class Model
 };
 
 /**
+ * Index of the first register (design order) whose committed value
+ * differs between `a` and `b`, or -1 when the two states are equal.
+ * Both models must come from the same design.
+ */
+inline int
+first_difference(const Model& a, const Model& b)
+{
+    for (size_t r = 0; r < a.num_regs(); ++r)
+        if (a.get_reg((int)r) != b.get_reg((int)r))
+            return (int)r;
+    return -1;
+}
+
+/**
  * A Model that can additionally report per-rule activity. Implemented by
  * the tier engines (always) and by GeneratedModel when the wrapped
  * compiled model was emitted with counters; the observability layer

@@ -386,7 +386,7 @@ TEST(TrialContext, RestoreMatchesReconstructOnEveryInProcessEngine)
         engines.push_back("T" + std::to_string(t));
     for (const std::string& engine : engines) {
         TargetFactory factory = designs::make_target_factory(*d, engine);
-        TrialContext ctx(factory);
+        TrialContext ctx(*d, factory);
         EXPECT_TRUE(ctx.warm()) << engine;
         for (size_t i = 0; i < specs.size(); ++i) {
             obs::CoverageMap want_cov, got_cov;
@@ -416,7 +416,7 @@ TEST(TrialContext, RestoreMatchesReconstructOnCompiledEngine)
     auto d = designs::build_design("collatz");
     std::vector<FaultSpec> specs = sampled_specs(*d, 4, 100);
     TargetFactory factory = designs::make_target_factory(*d, "compiled");
-    TrialContext ctx(factory);
+    TrialContext ctx(*d, factory);
     EXPECT_TRUE(ctx.warm());
     for (size_t i = 0; i < specs.size(); ++i) {
         obs::CoverageMap want_cov, got_cov;
@@ -442,7 +442,7 @@ TEST(TrialContext, NonCheckpointableTargetFallsBackToRebuilds)
             sim::make_engine(*d, sim::Tier::kT5StaticAnalysis));
     });
     std::vector<FaultSpec> specs = sampled_specs(*d, 5, 100);
-    TrialContext ctx(factory);
+    TrialContext ctx(*d, factory);
     EXPECT_FALSE(ctx.warm());
     for (size_t i = 0; i < specs.size(); ++i) {
         InjectionRecord want = run_injection(*d, factory, specs[i], 100);
@@ -463,7 +463,7 @@ TEST(TrialContext, CampaignWithEnvCheckpointsMatchesFactoryPath)
     // internally — compare against a fresh serial baseline re-run.
     auto d = designs::build_design("rv32i");
     TargetFactory factory = designs::make_target_factory(*d, "T3");
-    TrialContext ctx(factory);
+    TrialContext ctx(*d, factory);
     EXPECT_TRUE(ctx.warm());
 
     CampaignConfig config;

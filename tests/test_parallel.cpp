@@ -119,22 +119,6 @@ TEST(ThreadPool, RethrowsLowestItemsExceptionLikeASerialRun)
     }
 }
 
-TEST(ParallelForMetrics, MergedCountersMatchSerialTally)
-{
-    auto work = [](uint64_t i, obs::MetricsRegistry& m) {
-        m.inc("items");
-        m.inc("weighted", i);
-        m.observe("value", (double)(i % 5));
-    };
-    obs::MetricsRegistry serial;
-    parallel_for_metrics(40, 1, serial, work);
-    obs::MetricsRegistry sharded;
-    parallel_for_metrics(40, 8, sharded, work);
-    EXPECT_EQ(serial.to_json().dump(2), sharded.to_json().dump(2));
-    EXPECT_EQ(sharded.counter("items"), 40u);
-    EXPECT_EQ(sharded.counter("weighted"), (uint64_t)40 * 39 / 2);
-}
-
 TEST(MetricsMerge, CountersAddGaugesTakeOtherHistogramsFold)
 {
     obs::MetricsRegistry a, b;
@@ -308,26 +292,3 @@ TEST(ParallelForGroupsCtx, ContiguousGroupsShardedByGroupIndex)
     EXPECT_EQ(made.load(), 3);
 }
 
-TEST(ParallelForMetrics, CompletedShardsMergeEvenWhenAnItemThrows)
-{
-    // A failed campaign must still report accurate trial counters:
-    // the merge happens before the lowest-item exception resurfaces.
-    obs::MetricsRegistry merged;
-    std::atomic<int> ran{0};
-    try {
-        parallel_for_metrics(24, 4, merged,
-                             [&](uint64_t i, obs::MetricsRegistry& m) {
-                                 ran++;
-                                 m.inc("trials");
-                                 if (i == 7)
-                                     throw std::runtime_error("item 7");
-                             });
-        FAIL() << "expected an exception";
-    } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "item 7");
-    }
-    // The pool joins before rethrowing, so every item ran and every
-    // shard's counters — the throwing one's included — are merged.
-    EXPECT_EQ(ran.load(), 24);
-    EXPECT_EQ(merged.counter("trials"), 24u);
-}

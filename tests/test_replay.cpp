@@ -9,6 +9,7 @@
 
 #include "base/io.hpp"
 #include "designs/designs.hpp"
+#include "designs/targets.hpp"
 #include "fault/fault.hpp"
 #include "harness/debug.hpp"
 #include "interp/reference_model.hpp"
@@ -37,6 +38,20 @@ std::string
 tmp_path(const std::string& name)
 {
     return ::testing::TempDir() + name;
+}
+
+/** Run `f` and return the phase of the FatalError it raises ("" when
+ *  it returns normally). */
+template <typename F>
+std::string
+fatal_phase(F&& f)
+{
+    try {
+        f();
+    } catch (const FatalError& e) {
+        return e.diagnostic().phase;
+    }
+    return "";
 }
 
 void
@@ -208,6 +223,77 @@ TEST(Checkpoint, SaveLoadThroughDisk)
     EXPECT_EQ(back.serialize(), ck.serialize());
     std::remove(path.c_str());
     EXPECT_THROW(Checkpoint::load(path), FatalError);
+}
+
+TEST(Checkpoint, RejectsDuplicateSectionNames)
+{
+    auto d = designs::build_collatz();
+    auto m = make_model(*d, 5);
+    Checkpoint ck = Checkpoint::capture(*d, *m);
+    // set_section never writes a repeated name, and section() would
+    // silently pick the first: a file that repeats one is corrupt.
+    ck.sections.push_back({"metrics", "{}"});
+    ck.sections.push_back({"metrics", "{\"x\": 1}"});
+    std::string bytes = ck.serialize();
+    EXPECT_EQ(fatal_phase([&] { Checkpoint::deserialize(bytes); }),
+              "checkpoint");
+    ck.sections.pop_back();
+    EXPECT_NO_THROW(Checkpoint::deserialize(ck.serialize()));
+}
+
+TEST(Checkpoint, SystemRoundtripCarriesPeripherals)
+{
+    // rv32i runs out of magic memories: a resumed run must pick up the
+    // captured RAM and pending responses, not fresh ones.
+    auto d = designs::build_design("rv32i");
+    replay::SubjectFactory factory =
+        designs::make_target_factory(*d, "T5");
+    replay::Subject a = factory();
+    for (uint64_t c = 0; c < 150; ++c) {
+        a.model->cycle();
+        a.stimulus(*a.model, c);
+    }
+    Checkpoint ck =
+        Checkpoint::deserialize(Checkpoint::capture(*d, a).serialize());
+    ASSERT_NE(ck.section("env"), nullptr);
+    replay::Subject b = factory();
+    EXPECT_TRUE(ck.restore_into(*d, b));
+    for (uint64_t c = 150; c < 300; ++c) {
+        for (replay::Subject* s : {&a, &b}) {
+            s->model->cycle();
+            s->stimulus(*s->model, c);
+        }
+    }
+    expect_same_state(*d, *a.model, *b.model, "150 cycles after restore");
+}
+
+TEST(Checkpoint, SystemRestoreRejectsEnvMismatch)
+{
+    // An env section the system cannot load: collatz is closed.
+    auto collatz = designs::build_collatz();
+    replay::Subject closed =
+        designs::make_target_factory(*collatz, "T5")();
+    Checkpoint with_env = Checkpoint::capture(*collatz, closed);
+    with_env.set_section("env", "stray peripheral bytes");
+    EXPECT_EQ(fatal_phase([&] { with_env.restore_into(*collatz, closed); }),
+              "checkpoint");
+
+    // A system with peripherals but no env in the checkpoint: resuming
+    // would run rv32i on fresh memories.
+    auto rv = designs::build_design("rv32i");
+    replay::SubjectFactory factory =
+        designs::make_target_factory(*rv, "T5");
+    replay::Subject sys = factory();
+    for (uint64_t c = 0; c < 20; ++c) {
+        sys.model->cycle();
+        sys.stimulus(*sys.model, c);
+    }
+    Checkpoint no_env = Checkpoint::capture(*rv, *sys.model);
+    replay::Subject fresh = factory();
+    EXPECT_EQ(fatal_phase([&] { no_env.restore_into(*rv, fresh); }),
+              "checkpoint");
+    // Refused before any state moved.
+    EXPECT_EQ(fresh.model->cycles_run(), 0u);
 }
 
 TEST(SpillStream, RoundtripsRecordsInOrder)

@@ -10,6 +10,7 @@ in EXPERIMENTS.md) is:
     header                        compact JSON descriptor: schema,
                                   design, fingerprint (64 hex chars),
                                   cycle, widths, sections [{name,size}]
+                                  with no section name repeated
     register payload              per register, ceil(width/64) words of
                                   8 bytes LE; bits above the declared
                                   width must be zero (canonical form)
@@ -118,6 +119,7 @@ def validate_record(problems, where, data):
                     f"declared width {w}")
         pos += 8 * nwords
 
+    seen = set()
     for i, entry in enumerate(sections):
         if not isinstance(entry, dict) or \
                 not isinstance(entry.get("name"), str) or \
@@ -126,6 +128,9 @@ def validate_record(problems, where, data):
                 entry["size"] < 0:
             err(f"malformed section directory entry [{i}]")
             return False
+        if entry["name"] in seen:
+            err(f"duplicate section '{entry['name']}'")
+        seen.add(entry["name"])
         if pos + entry["size"] > len(body):
             err(f"section '{entry['name']}' extends past end of file")
             return False
@@ -252,6 +257,8 @@ def self_test():
         ("truncated", ok[:len(ok) // 2]),
         ("truncated checksum", ok[:-5]),
         ("non-canonical register bits", bytes(noncanon)),
+        ("duplicate section name",
+         build_test_record(sections=(("env", b"\x01"), ("env", b"\x02")))),
     ]
     if not all(corrupt(label, data) for label, data in cases):
         return 1
